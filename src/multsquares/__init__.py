@@ -31,6 +31,7 @@ from .solver import (
     TraceStep,
     Violation,
     check_function,
+    induction_sweep,
     pin_by_induction,
     propagate,
     solve,

@@ -119,6 +119,10 @@ def _cmd_replay(args) -> (Any, bool):
 def _cmd_check(args) -> (Any, bool):
     with open(args.values, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
+        raise ValueError(
+            "--values must hold a JSON object mapping prime powers to value strings"
+        )
     table = {int(key): parse_value(text) for key, text in raw.items()}
     violations = check_function(table, args.k, args.bound, rep_cap=args.rep_cap)
     result = {

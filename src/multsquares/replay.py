@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
@@ -20,7 +20,7 @@ from .solver import (
     DEFAULT_SET_CAP,
     SolverState,
     TraceStep,
-    pin_by_induction,
+    induction_sweep,
 )
 from .squares import enumerate_representations, is_dubouis_exception
 
@@ -373,6 +373,77 @@ def _stages_k7() -> List[ReplayStage]:
     ]
 
 
+# -- the scripted identities of the general case (k >= 8) -------------------
+
+
+def pad(core: Sequence[int], k: int) -> Tuple[int, ...]:
+    """The core's parts in non-increasing order, padded with ones to k parts."""
+    return tuple(sorted(core, reverse=True)) + (1,) * (k - len(core))
+
+
+def construction(k: int) -> Tuple[int, ...]:
+    """k parts whose squares sum to k^2 + k - 1: one k - 1, then a 2s and
+    b 3s with 3a + 8b = 2k - 1, then ones."""
+    twos, threes = represent_in_semigroup(2 * k - 1, 3, 8)
+    return (k - 1,) + (3,) * threes + (2,) * twos + (1,) * (k - twos - threes - 1)
+
+
+# Pairs of cores whose paddings share a target (k + 35 and k + 24); the two
+# equations they give fix (f(2), f(3)) up to EXPECTED_SIGN_PAIRS.
+DOUBLE_REPRESENTATIONS = (
+    ("double-40", (6,), (3, 3, 3, 3, 2)),
+    ("double-32", (3, 3, 3), (2,) * 8),
+)
+
+EXPECTED_SIGN_PAIRS = frozenset(
+    (gauss(sa * a), gauss(sb * b))
+    for (a, b) in ((1, 1), (2, 3))
+    for sa in (1, -1)
+    for sb in (1, -1)
+)
+
+# (core target, lhs core, rhs core): equal square sums, still equal padded
+SMALL_IDENTITY_TABLE = (
+    (28, (4, 2, 2, 2), (3, 3, 3, 1)),
+    (27, (5, 1, 1), (3, 3, 3)),
+    (50, (7, 1), (5, 5)),
+    (65, (8, 1), (7, 4)),
+    (85, (9, 2), (7, 6)),
+)
+
+SMALL_PRODUCTS = ((6, 2, 3), (10, 2, 5))
+
+LinearForm = Tuple[int, int]  # (a, b) meaning a*l + b
+
+
+@dataclass(frozen=True)
+class ParametricIdentity:
+    """Two-term square identity in a parameter l, valid from a threshold on."""
+
+    name: str
+    lhs: Tuple[LinearForm, LinearForm]
+    rhs: Tuple[LinearForm, LinearForm]
+    threshold: int
+
+    def side_poly(self, side: Tuple[LinearForm, LinearForm]) -> Tuple[int, int, int]:
+        """Coefficients (c2, c1, c0) of the side's square sum in l."""
+        c2 = c1 = c0 = 0
+        for a, b in side:
+            c2 += a * a
+            c1 += 2 * a * b
+            c0 += b * b
+        return (c2, c1, c0)
+
+    def terms(self, l: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        lhs = tuple(a * l + b for a, b in self.lhs)
+        rhs = tuple(a * l + b for a, b in self.rhs)
+        return lhs, rhs
+
+
+ODD_STEP = ParametricIdentity("odd-step", ((2, 1), (1, -2)), ((2, -1), (1, 2)), 5)
+EVEN_STEP = ParametricIdentity("even-step", ((2, 0), (1, -5)), ((2, -4), (1, 3)), 6)
+
+
 def _witness_rep(target: int, k: int, max_part: int) -> Optional[Tuple[int, ...]]:
     """One k-square representation of target with parts <= max_part."""
     enum = enumerate_representations(target, k, limit=1, max_part=max_part)
@@ -396,75 +467,60 @@ def _sign_witness(k: int, q: int, max_part: int) -> int:
         m += 1
 
 
+def _padded_sos(core: Sequence[int], k: int) -> SumOfSquares:
+    parts = pad(core, k)
+    return SumOfSquares(sum(x * x for x in parts), parts)
+
+
 def _stages_general(k: int) -> List[ReplayStage]:
-    pad = lambda core: tuple(sorted(core, reverse=True)) + (1,) * (k - len(core))
     stages = [
         ReplayStage(
             "seed",
-            (SumOfSquares(k, (1,) * k),),
+            (_padded_sos((), k),),
             (Expectation(k, _vset(k)),),
         ),
         ReplayStage(
             "growth-k(k-1)",
-            (
-                SumOfSquares(k * (k - 1), (k - 1,) + (1,) * (k - 1)),
-                Multiplicative(k * (k - 1), k - 1, k),
-            ),
+            (_padded_sos((k - 1,), k), Multiplicative(k * (k - 1), k - 1, k)),
             (Expectation(k - 1, _vset(1, k - 1)),),
         ),
         ReplayStage(
             "double-representations-40-32",
-            (
-                SumOfSquares(k + 35, pad((6,))),
-                SumOfSquares(k + 35, pad((3, 3, 3, 3, 2))),
-                SumOfSquares(k + 24, pad((3, 3, 3))),
-                SumOfSquares(k + 24, (2,) * 8 + (1,) * (k - 8)),
-                Multiplicative(6, 2, 3),
-            ),
+            tuple(
+                _padded_sos(core, k)
+                for _, first, second in DOUBLE_REPRESENTATIONS
+                for core in (first, second)
+            )
+            + (Multiplicative(6, 2, 3),),
             (
                 Expectation(2, _vset(1, -1, 2, -2), "within"),
                 Expectation(3, _vset(1, -1, 3, -3), "within"),
             ),
             joint_pair_check=True,
         ),
-    ]
-    twos, threes = represent_in_semigroup(2 * k - 1, 3, 8)
-    construction = (
-        (k - 1,)
-        + (3,) * threes
-        + (2,) * twos
-        + (1,) * (k - twos - threes - 1)
-    )
-    stages.append(
         ReplayStage(
             "construction-k^2+k-1",
             (
-                SumOfSquares(k * k + k - 1, (k,) + (1,) * (k - 1)),
-                SumOfSquares(k * k + k - 1, construction),
+                _padded_sos((k,), k),
+                SumOfSquares(k * k + k - 1, construction(k)),
             ),
             (
                 Expectation(2, _pm(2)),
                 Expectation(3, _pm(3)),
                 Expectation(k - 1, _vset(k - 1)),
             ),
-        )
-    )
-    small = [
-        SumOfSquares(28 + (k - 4), pad((4, 2, 2, 2))),
-        SumOfSquares(28 + (k - 4), pad((3, 3, 3))),
-        SumOfSquares(27 + (k - 3), pad((5,))),
-        SumOfSquares(50 + (k - 2), pad((7,))),
-        SumOfSquares(50 + (k - 2), pad((5, 5))),
-        SumOfSquares(65 + (k - 2), pad((8,))),
-        SumOfSquares(65 + (k - 2), pad((7, 4))),
-        SumOfSquares(85 + (k - 2), pad((9, 2))),
-        SumOfSquares(85 + (k - 2), pad((7, 6))),
-        Multiplicative(10, 2, 5),
+        ),
     ]
+    earlier = {c for stage in stages for c in stage.constraints}
+    small = [
+        _padded_sos(core, k)
+        for _, lhs, rhs in SMALL_IDENTITY_TABLE
+        for core in (lhs, rhs)
+    ] + [Multiplicative(n, m, l) for n, m, l in SMALL_PRODUCTS]
     stages.append(
         ReplayStage(
             "small-identities",
-            tuple(small),
+            tuple(c for c in small if c not in earlier),
             tuple(
                 Expectation(n, _pm(n), "within") for n in range(2, 11)
             ),
@@ -473,15 +529,9 @@ def _stages_general(k: int) -> List[ReplayStage]:
     grown = max(25, isqrt(10 * (k + 24)) + 2)
     parametric = []
     for n in range(11, grown + 1):
-        if n % 2:
-            l = (n - 1) // 2
-            lhs, rhs = (2 * l + 1, l - 2), (2 * l - 1, l + 2)
-        else:
-            l = n // 2
-            lhs, rhs = (2 * l, l - 5), (2 * l - 4, l + 3)
-        target = lhs[0] ** 2 + lhs[1] ** 2 + (k - 2)
-        parametric.append(SumOfSquares(target, pad(lhs)))
-        parametric.append(SumOfSquares(target, pad(rhs)))
+        lhs, rhs = (ODD_STEP if n % 2 else EVEN_STEP).terms(n // 2)
+        parametric.append(_padded_sos(lhs, k))
+        parametric.append(_padded_sos(rhs, k))
     stages.append(
         ReplayStage(
             "parametric-growth",
@@ -524,14 +574,6 @@ def _joint_pair_solutions(state: SolverState) -> set:
     return out
 
 
-EXPECTED_PAIR_SOLUTIONS = frozenset(
-    (gauss(sa * a), gauss(sb * b))
-    for (a, b) in ((1, 1), (2, 3))
-    for sa in (1, -1)
-    for sb in (1, -1)
-)
-
-
 def replay_script(
     k: int,
     *,
@@ -560,14 +602,12 @@ def replay_script(
             state.add_constraints(stage.constraints)
             state.propagate()
         if stage.induction_range:
-            lo, hi = stage.induction_range
-            for n in range(lo, hi + 1):
-                if not state.is_pinned(n):
-                    pin_by_induction(state, n)
+            # a failure shows as the first unpinned n in the stage's claims
+            induction_sweep(state, *stage.induction_range)
         claims = [e.check(stage.name, state) for e in stage.expects]
         if stage.joint_pair_check:
             got = _joint_pair_solutions(state)
-            if got != set(EXPECTED_PAIR_SOLUTIONS):
+            if got != EXPECTED_SIGN_PAIRS:
                 raise ReplayMismatchError(
                     stage.name,
                     0,

@@ -748,6 +748,24 @@ def pin_by_induction(state: SolverState, n: int) -> SolverState:
     return state.propagate()
 
 
+def induction_sweep(
+    state: SolverState, lo: int, hi: int
+) -> Optional[Tuple[int, str]]:
+    """Pin lo..hi in order by the n(n-1) step; return the first n left
+    unpinned with the reason, or None.  Each step needs f(m) = m for every
+    m < n, so nothing past that n is attempted."""
+    for n in range(lo, hi + 1):
+        if state.is_pinned(n):
+            continue
+        try:
+            pin_by_induction(state, n)
+        except NoSmallRepresentationError as exc:
+            return n, str(exc)
+        if not state.is_pinned(n):
+            return n, "induction step did not pin"
+    return None
+
+
 def solve(
     k: int,
     bound: int,
@@ -763,19 +781,7 @@ def solve(
     state.add_constraints(generate_constraints(k, bound, rep_cap))
     state.propagate()
     if induction:
-        prefix_ok = True
-        for n in range(2, bound + 1):
-            if state.is_pinned(n):
-                continue
-            if not prefix_ok:
-                continue
-            try:
-                pin_by_induction(state, n)
-            except NoSmallRepresentationError:
-                prefix_ok = False
-                continue
-            if not state.is_pinned(n):
-                prefix_ok = False
+        induction_sweep(state, 2, bound)
     return state.report()
 
 

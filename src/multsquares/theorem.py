@@ -1,9 +1,9 @@
 """End-to-end verification that the functional equation forces the identity.
 
-For each k the checker validates every displayed identity behind the
-deduction, replays the scripted chain, verifies the k >= 8 constructions
-with exact algebra, and finally confirms that the engine pins f(n) = n for
-every n up to a bound.
+For each k >= 4 the checker validates every displayed identity behind the
+deduction (with exact algebra for the k >= 8 constructions), replays the
+scripted chain, runs the n(n-1) induction on the replay's state, and
+confirms that f(n) = n is pinned for every n up to a bound.
 """
 
 from __future__ import annotations
@@ -11,18 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .arith import NonRepresentableError, represent_in_semigroup
 from .constraints import Multiplicative
 from .gaussian import gauss
-from .replay import ReplayMismatchError, replay_script
-from .solver import (
-    DEFAULT_BUDGET,
-    NoSmallRepresentationError,
-    pin_by_induction,
-    solve,
+from .replay import (
+    DOUBLE_REPRESENTATIONS,
+    EVEN_STEP,
+    EXPECTED_SIGN_PAIRS,
+    ODD_STEP,
+    SMALL_IDENTITY_TABLE,
+    SMALL_PRODUCTS,
+    ParametricIdentity,
+    ReplayMismatchError,
+    construction,
+    pad,
+    replay_script,
 )
+from .solver import DEFAULT_BUDGET, SolverState, induction_sweep, solve
 from .squares import Representation, UnsupportedKError, enumerate_representations
 
 DEFAULT_BOUND = 300
@@ -60,37 +67,6 @@ class CaseReport:
             "manifest": list(self.manifest),
             "all_passed": self.all_passed,
         }
-
-
-LinearForm = Tuple[int, int]  # (a, b) meaning a*l + b
-
-
-@dataclass(frozen=True)
-class ParametricIdentity:
-    """Two-term square identity in a parameter l, valid from a threshold on."""
-
-    name: str
-    lhs: Tuple[LinearForm, LinearForm]
-    rhs: Tuple[LinearForm, LinearForm]
-    threshold: int
-
-    def side_poly(self, side: Tuple[LinearForm, LinearForm]) -> Tuple[int, int, int]:
-        """Coefficients (c2, c1, c0) of the side's square sum in l."""
-        c2 = c1 = c0 = 0
-        for a, b in side:
-            c2 += a * a
-            c1 += 2 * a * b
-            c0 += b * b
-        return (c2, c1, c0)
-
-    def terms(self, l: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        lhs = tuple(a * l + b for a, b in self.lhs)
-        rhs = tuple(a * l + b for a, b in self.rhs)
-        return lhs, rhs
-
-
-ODD_STEP = ParametricIdentity("odd-step", ((2, 1), (1, -2)), ((2, -1), (1, 2)), 5)
-EVEN_STEP = ParametricIdentity("even-step", ((2, 0), (1, -5)), ((2, -4), (1, 3)), 6)
 
 
 def check_parametric(identity: ParametricIdentity, l_max: int) -> CaseReport:
@@ -180,8 +156,8 @@ def _check_displayed(k: int) -> List[CheckResult]:
     return out
 
 
-def _check_pinned(report_state, bound: int) -> CheckResult:
-    missing = [n for n in range(1, bound + 1) if not report_state.is_pinned(n)]
+def _check_pinned(state: SolverState, bound: int) -> CheckResult:
+    missing = [n for n in range(1, bound + 1) if not state.is_pinned(n)]
     return CheckResult(
         f"pinned-to-{bound}",
         not missing,
@@ -189,17 +165,44 @@ def _check_pinned(report_state, bound: int) -> CheckResult:
     )
 
 
-def verify_case_k4(max_m: int, bound: int = 100) -> CaseReport:
-    """Checks for k = 4: displayed identities, the eight odd exceptions,
-    and the 4^m doubling step witnesses."""
+def _replay_and_sweep(
+    k: int, bound: int, budget: int
+) -> Tuple[CheckResult, Optional[SolverState], Optional[Tuple[int, str]]]:
+    """The route of every case k >= 4: the scripted replay, then the n(n-1)
+    induction on its state up to bound.
+
+    Returns the replay check, the state (None when the replay mismatched)
+    and the induction's first failure (n, reason), or None.
+    """
+    try:
+        state = replay_script(k, budget=budget).state
+    except ReplayMismatchError as exc:
+        return CheckResult("replay", False, str(exc)), None, None
+    failure = induction_sweep(state, 2, bound)
+    return CheckResult("replay", True, "all stage claims match"), state, failure
+
+
+def _manifest(k: int) -> Tuple[str, ...]:
+    return tuple(f"target:{t}" for t, _ in _displayed(k))
+
+
+def verify_case_k4(
+    max_m: int, bound: int = 100, budget: int = DEFAULT_BUDGET
+) -> CaseReport:
+    """Checks for k = 4: displayed identities, the four odd exceptions above
+    9 pinned by the replay, the 4^m doubling step witnesses, then the n(n-1)
+    induction on the replay's state up to bound."""
     checks = _check_displayed(4)
-    report = solve(4, max(bound, 100))
+    replay, state, _ = _replay_and_sweep(4, bound, budget)
+    if state is None:
+        checks.append(replay)
+        return CaseReport("four-squares", 4, tuple(checks), _manifest(4), True)
     for n in (11, 17, 29, 41):
         checks.append(
             CheckResult(
                 f"exception-pinned:{n}",
-                report.state.is_pinned(n),
-                f"candidates {report.state.candidates(n)}",
+                state.is_pinned(n),
+                f"candidates {state.candidates(n)}",
             )
         )
     if max_m < 1:
@@ -222,61 +225,28 @@ def verify_case_k4(max_m: int, bound: int = 100) -> CaseReport:
                 + ("" if not bad else f"; failed at {bad}"),
             )
         )
-    return CaseReport(
-        case="four-squares",
-        k=4,
-        checks=tuple(checks),
-        manifest=tuple(f"target:{t}" for t, _ in _displayed(4)),
-        verdict=True,
-    )
+    checks.append(_check_pinned(state, bound))
+    return CaseReport("four-squares", 4, tuple(checks), _manifest(4), True)
 
 
-def verify_case_k(k: int, bound: int) -> CaseReport:
+def verify_case_k(k: int, bound: int, budget: int = DEFAULT_BUDGET) -> CaseReport:
     """Checks for k in {5, 6, 7}: displayed identities, scripted replay,
     then the n(n-1) induction up to bound."""
     if k not in (5, 6, 7):
         raise UnsupportedKError("this case verifier handles k in {5, 6, 7}")
     checks = _check_displayed(k)
-    try:
-        result = replay_script(k)
-        checks.append(CheckResult("replay", True, "all stage claims match"))
-        state = result.state
-    except ReplayMismatchError as exc:
-        checks.append(CheckResult("replay", False, str(exc)))
-        return CaseReport(
-            case=f"{k}-squares",
-            k=k,
-            checks=tuple(checks),
-            manifest=tuple(f"target:{t}" for t, _ in _displayed(k)),
-            verdict=True,
+    replay, state, failure = _replay_and_sweep(k, bound, budget)
+    checks.append(replay)
+    if state is not None:
+        checks.append(
+            CheckResult(
+                "induction",
+                failure is None,
+                "" if failure is None else f"at n={failure[0]}: {failure[1]}",
+            )
         )
-    first_failure = None
-    for n in range(2, bound + 1):
-        if state.is_pinned(n):
-            continue
-        try:
-            pin_by_induction(state, n)
-        except NoSmallRepresentationError as exc:
-            first_failure = (n, str(exc))
-            break
-        if not state.is_pinned(n):
-            first_failure = (n, "induction step did not pin")
-            break
-    checks.append(
-        CheckResult(
-            "induction",
-            first_failure is None,
-            "" if first_failure is None else f"at n={first_failure[0]}: {first_failure[1]}",
-        )
-    )
-    checks.append(_check_pinned(state, bound))
-    return CaseReport(
-        case=f"{k}-squares",
-        k=k,
-        checks=tuple(checks),
-        manifest=tuple(f"target:{t}" for t, _ in _displayed(k)),
-        verdict=True,
-    )
+        checks.append(_check_pinned(state, bound))
+    return CaseReport(f"{k}-squares", k, tuple(checks), _manifest(k), True)
 
 
 def _two_equation_solutions() -> set:
@@ -301,43 +271,23 @@ def _two_equation_solutions() -> set:
     return solutions
 
 
-EXPECTED_SIGN_PAIRS = frozenset(
-    (gauss(sa * a), gauss(sb * b))
-    for (a, b) in ((1, 1), (2, 3))
-    for sa in (1, -1)
-    for sb in (1, -1)
-)
-
-SMALL_IDENTITY_TABLE = (
-    (28, (4, 2, 2, 2), (3, 3, 3, 1)),
-    (27, (5, 1, 1), (3, 3, 3)),
-    (50, (7, 1), (5, 5)),
-    (65, (8, 1), (7, 4)),
-    (85, (9, 2), (7, 6)),
-)
-
-SMALL_PRODUCTS = ((6, 2, 3), (10, 2, 5))
-
-
-def verify_case_general(k: int, bound: int) -> CaseReport:
+def verify_case_general(
+    k: int, bound: int, budget: int = DEFAULT_BUDGET
+) -> CaseReport:
     """Checks for k >= 8: padded double representations, the exact
     two-equation sign system, the semigroup construction, the small
-    identity table, the parametric families, and full pinning."""
+    identity table, the parametric families, then the scripted replay and
+    the n(n-1) induction on its state up to bound."""
     if k < 8:
         raise UnsupportedKError("general case requires k >= 8")
     checks: List[CheckResult] = []
 
-    def padded(core: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(sorted(core, reverse=True)) + (1,) * (k - len(core))
-
     # (a) the 40 and 32 double representations, padded to k parts
-    for name, target, first, second in (
-        ("double-40", k + 35, (6,), (3, 3, 3, 3, 2)),
-        ("double-32", k + 24, (3, 3, 3), (2,) * 8),
-    ):
+    for name, first, second in DOUBLE_REPRESENTATIONS:
+        target = sum(x * x for x in pad(first, k))
         try:
-            Representation(target, padded(first))
-            Representation(target, padded(second))
+            Representation(target, pad(first, k))
+            Representation(target, pad(second, k))
             checks.append(CheckResult(name, True, f"target {target}"))
         except ValueError as exc:
             checks.append(CheckResult(name, False, str(exc)))
@@ -347,7 +297,7 @@ def verify_case_general(k: int, bound: int) -> CaseReport:
     checks.append(
         CheckResult(
             "sign-system",
-            got == set(EXPECTED_SIGN_PAIRS),
+            got == EXPECTED_SIGN_PAIRS,
             "solutions " + ",".join(sorted(f"({a},{b})" for a, b in got)),
         )
     )
@@ -365,22 +315,19 @@ def verify_case_general(k: int, bound: int) -> CaseReport:
         )
     except NonRepresentableError as exc:
         checks.append(CheckResult("semigroup-2k-1", False, str(exc)))
-        a = b = 0
 
     # (d) the k-part representation of k^2 + k - 1
-    construction = (k - 1,) + (3,) * b + (2,) * a + (1,) * (k - a - b - 1)
     try:
-        Representation(k * k + k - 1, construction)
-        checks.append(
-            CheckResult("construction", True, f"parts {construction}")
-        )
-    except ValueError as exc:
+        parts = construction(k)
+        Representation(k * k + k - 1, parts)
+        checks.append(CheckResult("construction", True, f"parts {parts}"))
+    except (NonRepresentableError, ValueError) as exc:
         checks.append(CheckResult("construction", False, str(exc)))
 
     # (e) the small identity table pads to equal-target pairs
     for base, lhs, rhs in SMALL_IDENTITY_TABLE:
-        lhs_p = padded(lhs)
-        rhs_p = padded(rhs)
+        lhs_p = pad(lhs, k)
+        rhs_p = pad(rhs, k)
         try:
             r1 = Representation(sum(x * x for x in lhs_p), lhs_p)
             r2 = Representation(sum(x * x for x in rhs_p), rhs_p)
@@ -413,16 +360,11 @@ def verify_case_general(k: int, bound: int) -> CaseReport:
             )
         )
 
-    # replay of the scripted chain
-    try:
-        replay_script(k)
-        checks.append(CheckResult("replay", True, "all stage claims match"))
-    except ReplayMismatchError as exc:
-        checks.append(CheckResult("replay", False, str(exc)))
-
-    # (g) the full solve pins everything up to bound
-    report = solve(k, bound)
-    checks.append(_check_pinned(report.state, bound))
+    # (g) the replay, and the induction on its state, pin everything to bound
+    replay, state, _ = _replay_and_sweep(k, bound, budget)
+    checks.append(replay)
+    if state is not None:
+        checks.append(_check_pinned(state, bound))
     return CaseReport(
         case="general",
         k=k,
@@ -463,10 +405,7 @@ def theorem_check(
             verdict=None,
         )
     if k == 4:
-        base = verify_case_k4(3, bound)
-        report = solve(4, bound, budget)
-        checks = base.checks + (_check_pinned(report.state, bound),)
-        return CaseReport(base.case, 4, checks, base.manifest, verdict=True)
+        return verify_case_k4(3, bound, budget)
     if k in (5, 6, 7):
-        return verify_case_k(k, bound)
-    return verify_case_general(k, bound)
+        return verify_case_k(k, bound, budget)
+    return verify_case_general(k, bound, budget)

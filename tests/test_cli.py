@@ -116,6 +116,30 @@ def test_check_missing_value(tmp_path, capsys):
     assert env["result"]["error"] == "MissingValueError"
 
 
+def test_check_malformed_values_exit_2(tmp_path, capsys):
+    for raw in (["2", "2"], {"2": 2}):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run_cli(
+            "check", "--k", "4", "--bound", "12", "--values", str(path),
+            capsys=capsys,
+        )
+        assert code == 2, raw
+        assert out == ""
+        assert "--values must hold a JSON object" in err
+
+
+def test_theorem_budget_applies_to_every_k(capsys):
+    for k in ("4", "5", "8"):
+        code, out, _ = run_cli(
+            "theorem", "--k", k, "--bound", "60", "--budget", "1", capsys=capsys
+        )
+        assert code == 1, k
+        env = parse(out)
+        assert env["status"] == "failed"
+        assert env["result"]["error"] == "BudgetExceededError"
+
+
 def test_json_roundtrip_byte_identical(capsys):
     _, out, _ = run_cli("exceptions", "--k", "5", "--bound", "40", capsys=capsys)
     env = parse(out)

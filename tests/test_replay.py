@@ -2,6 +2,7 @@
 
 import pytest
 
+import multsquares.solver as solver_module
 from multsquares.gaussian import gauss
 from multsquares.replay import Expectation, ReplayMismatchError, replay_script
 from multsquares.solver import SolverState
@@ -105,6 +106,16 @@ def test_replay_end_states_identity():
         result = replay_script(k)
         for n in range(1, 21):
             assert final(result, n) == only(n), (k, n)
+
+
+def test_resultants_needed_for_general_replay(monkeypatch):
+    # ablation: without resultants the k >= 8 double representations no
+    # longer narrow f(2) and f(3), while the k = 5 script never needs one
+    monkeypatch.setattr(solver_module, "RESULTANT_CAP", 0)
+    with pytest.raises(ReplayMismatchError) as err:
+        replay_script(8)
+    assert err.value.stage == "double-representations-40-32"
+    assert replay_script(5).state.is_pinned(20)
 
 
 def test_replay_rejects_small_k():

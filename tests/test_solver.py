@@ -12,9 +12,11 @@ from multsquares.solver import (
     NoSmallRepresentationError,
     SolverState,
     check_function,
+    induction_sweep,
     pin_by_induction,
     solve,
 )
+import multsquares.solver as solver_module
 
 
 def cand_strs(state, n):
@@ -182,6 +184,23 @@ def test_pin_by_induction_k6_n8():
         pin_by_induction(state, 7)
     pin_by_induction(state, 8)
     assert state.is_pinned(8)
+
+
+def test_induction_sweep_stops_at_first_failure(monkeypatch):
+    # 6 = 3*2 has no 4-square form with parts below 3, so nothing is pinned
+    attempted = []
+    original = solver_module.pin_by_induction
+
+    def recording(state, n):
+        attempted.append(n)
+        return original(state, n)
+
+    monkeypatch.setattr(solver_module, "pin_by_induction", recording)
+    state = SolverState(4, 20)
+    failure = induction_sweep(state, 3, 10)
+    assert failure == (3, "6 has no representation with parts below 3")
+    assert attempted == [3]
+    assert state.trace == []
 
 
 def test_check_function_identity_is_clean():

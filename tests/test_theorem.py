@@ -2,6 +2,7 @@
 
 import pytest
 
+import multsquares.theorem as theorem_module
 from multsquares.arith import represent_in_semigroup
 from multsquares.gaussian import gauss
 from multsquares.theorem import (
@@ -113,10 +114,17 @@ def test_theorem_check_exploration_mode():
     assert report.all_passed is None
 
 
-def test_theorem_check_small_bound():
-    for k in (4, 5, 9):
-        report = theorem_check(k, 60)
-        assert report.all_passed, (k, failed_checks(report))
+def test_theorem_check_small_bound(monkeypatch):
+    # every case k >= 4 pins through its replay and the induction, with no
+    # corpus solve, so small bounds pass too
+    def no_solve(*args, **kwargs):
+        raise AssertionError("theorem_check ran a corpus solve")
+
+    monkeypatch.setattr(theorem_module, "solve", no_solve)
+    for k, bound in ((4, 60), (5, 60), (8, 60), (9, 60), (4, 30), (8, 30)):
+        report = theorem_check(k, bound)
+        assert report.all_passed, (k, bound, failed_checks(report))
+        assert report.checks[-1].name == f"pinned-to-{bound}"
 
 
 def test_case_report_serialization():

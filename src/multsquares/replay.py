@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
-from .gaussian import gauss
+from .gaussian import ONE, ZERO, GaussianRational, gauss
 from .solver import (
     DEFAULT_BUDGET,
     DEFAULT_SET_CAP,
@@ -46,6 +46,13 @@ def _pm(n: int) -> frozenset:
     return frozenset({gauss(n), gauss(-n)})
 
 
+def format_candidates(values: Optional[frozenset]) -> str:
+    """A candidate set as exact strings, "{-2,2}", or "unknown"."""
+    if values is None:
+        return "unknown"
+    return "{" + ",".join(sorted(str(v) for v in values)) + "}"
+
+
 @dataclass(frozen=True)
 class Expectation:
     """Claim about candidates(variable) at the end of a stage."""
@@ -60,12 +67,8 @@ class Expectation:
             ok = got == self.values
         else:
             ok = got is not None and got <= self.values
-        expected_s = "{" + ",".join(sorted(str(v) for v in self.values)) + "}"
-        got_s = (
-            "unknown"
-            if got is None
-            else "{" + ",".join(sorted(str(v) for v in got)) + "}"
-        )
+        expected_s = format_candidates(self.values)
+        got_s = format_candidates(got)
         if not ok:
             raise ReplayMismatchError(stage, self.variable, expected_s, got_s)
         return {
@@ -557,21 +560,29 @@ def _stages_general(k: int) -> List[ReplayStage]:
     return stages
 
 
+def double_representations_hold(f2: GaussianRational, f3: GaussianRational) -> bool:
+    """Whether (f(2), f(3)) satisfies the equation of each pair in
+    DOUBLE_REPRESENTATIONS, with f(1) = 1 and f(6) = f(2) f(3).  The ones
+    that pad both cores to k parts cancel, so each core is padded only to
+    the longer one's length."""
+    f = {1: ONE, 2: f2, 3: f3, 6: f2 * f3}
+
+    def square_sum(core: Sequence[int], length: int) -> GaussianRational:
+        return sum((f[x].square() for x in pad(core, length)), ZERO)
+
+    for _, first, second in DOUBLE_REPRESENTATIONS:
+        length = max(len(first), len(second))
+        if square_sum(first, length) != square_sum(second, length):
+            return False
+    return True
+
+
 def _joint_pair_solutions(state: SolverState) -> set:
     """Pairs (a, b) from candidates(2) x candidates(3) satisfying both
     double-representation equations exactly."""
     cand2 = state.candidates(2) or set()
     cand3 = state.candidates(3) or set()
-    g4, g5, g8, g3 = gauss(4), gauss(5), gauss(8), gauss(3)
-    out = set()
-    for a in cand2:
-        for b in cand3:
-            ab = a * b
-            eq40 = ab * ab + g4 == a * a + g4 * (b * b)
-            eq32 = g5 + g3 * (b * b) == g8 * (a * a)
-            if eq40 and eq32:
-                out.add((a, b))
-    return out
+    return {(a, b) for a in cand2 for b in cand3 if double_representations_hold(a, b)}
 
 
 def replay_script(

@@ -322,6 +322,19 @@ class SolverState:
             for var in eq.vars:
                 self._narrow_var(eq, var)
 
+    def _view(
+        self, eq: _Equation, u: int
+    ) -> Optional[Tuple[str, FrozenSet[GaussianRational]]]:
+        """The view of u that eq narrows and reads: the values when known,
+        else the squares when every power of u in eq is even, else None."""
+        vals = self._values.get(u)
+        if vals is not None:
+            return "value", vals
+        sqs = self._squares.get(u)
+        if sqs is not None and all(p % 2 == 0 for p in eq.var_powers[u]):
+            return "square", sqs
+        return None
+
     def _assignments(
         self, eq: _Equation, var: int
     ) -> Optional[Tuple[Tuple[int, ...], List[List[Tuple[str, GaussianRational]]]]]:
@@ -332,19 +345,11 @@ class SolverState:
         for u in eq.vars:
             if u == var:
                 continue
-            vals = self._values.get(u)
-            sqs = self._squares.get(u)
-            if any(p % 2 for p in eq.var_powers[u]):
-                if vals is None:
-                    return None
-                opts = [("v", x) for x in sorted(vals, key=lambda g: g.sort_key())]
-            else:
-                if vals is not None:
-                    opts = [("v", x) for x in sorted(vals, key=lambda g: g.sort_key())]
-                elif sqs is not None:
-                    opts = [("s", x) for x in sorted(sqs, key=lambda g: g.sort_key())]
-                else:
-                    return None
+            seen = self._view(eq, u)
+            if seen is None:
+                return None
+            view, cands = seen
+            opts = [(view, x) for x in sorted(cands, key=lambda g: g.sort_key())]
             others.append(u)
             options.append(opts)
             total *= len(opts)
@@ -365,8 +370,8 @@ class SolverState:
         for d, residual, coeff in eq.decomp[var]:
             acc = _gint(coeff)
             for u, p in residual:
-                kind, x = assign[u]
-                if kind == "s":  # square assignment; p is even here
+                view, x = assign[u]
+                if view == "square":  # p is even here
                     p //= 2
                 if p == 1:
                     acc = acc * x
@@ -387,21 +392,23 @@ class SolverState:
             return
         others, options = prepared
         combos = list(product(*options)) if options else [()]
-        vals = self._values.get(var)
-        sqs = self._squares.get(var)
-        if vals is not None:
-            self._filter_values(eq, var, vals, others, combos)
-        elif sqs is not None and all(p % 2 == 0 for p in eq.var_powers[var]):
-            self._filter_squares(eq, var, sqs, others, combos)
+        seen = self._view(eq, var)
+        if seen is None:
+            self._create_from_unknown(eq, var, others, combos)
         else:
-            self._create_from_unknown(eq, var, sqs, others, combos)
+            self._filter(eq, var, *seen, others, combos)
 
-    def _filter_values(self, eq, var, vals, others, combos) -> None:
-        remaining = set(vals)
+    def _filter(self, eq, var, view, current, others, combos) -> None:
+        """Keep the candidates of var's view that satisfy eq for some
+        combination; a square candidate stands for var^2, so the degrees
+        of var halve."""
+        remaining = set(current)
         survivors = set()
         pow_cache: Dict = {}
         for combo in combos:
             coeffs = self._combo_coeffs(eq, var, others, combo, pow_cache)
+            if view == "square":
+                coeffs = {d // 2: coef for d, coef in coeffs.items()}
             moved = []
             for c in remaining:
                 total = ZERO
@@ -414,34 +421,18 @@ class SolverState:
                 remaining.remove(c)
             if not remaining:
                 return
-        self._set_values(var, frozenset(survivors), eq, self._value_rule(eq, var))
+        self._set(var, view, frozenset(survivors), eq, self._value_rule(eq, var))
 
-    def _filter_squares(self, eq, var, sqs, others, combos) -> None:
-        remaining = set(sqs)
-        survivors = set()
-        pow_cache: Dict = {}
-        for combo in combos:
-            coeffs = self._combo_coeffs(eq, var, others, combo, pow_cache)
-            moved = []
-            for s in remaining:
-                total = ZERO
-                for d, coef in coeffs.items():
-                    total = total + coef * s ** (d // 2)
-                if total.is_zero():
-                    survivors.add(s)
-                    moved.append(s)
-            for s in moved:
-                remaining.remove(s)
-            if not remaining:
-                return
-        self._set_squares(var, frozenset(survivors), eq, self._value_rule(eq, var))
-
-    def _create_from_unknown(self, eq, var, sqs, others, combos) -> None:
-        even_only = all(p % 2 == 0 for p in eq.var_powers[var])
+    def _create_from_unknown(self, eq, var, others, combos) -> None:
+        """Solve eq for an unknown var as a polynomial of degree <= 2 in
+        w = var^scale, where scale is 2 when every power of var is even;
+        the roots give the values (exact square roots of w when scale is 2)
+        and the squares."""
+        scale = 2 if all(p % 2 == 0 for p in eq.var_powers[var]) else 1
         val_acc: set = set()
         sq_acc: set = set()
-        val_ok = True
-        sq_ok = True
+        val_ok = True  # every root has exact values
+        sq_ok = True  # every combination was solved exactly
         feasible = False
         pow_cache: Dict = {}
         for combo in combos:
@@ -452,63 +443,48 @@ class SolverState:
                     return  # an unconstraining combination: no pruning at all
                 continue  # infeasible combination contributes nothing
             feasible = True
-            if not (val_ok or sq_ok):
+            if not sq_ok:
                 continue
-            if even_only and max(degs) <= 4:
-                # polynomial in u = var^2 of degree <= 2
-                c4 = coeffs.get(4, ZERO)
-                c2 = coeffs.get(2, ZERO)
-                c0 = coeffs.get(0, ZERO)
-                if c4.is_zero():
-                    roots_u: Optional[Tuple[GaussianRational, ...]] = (-c0 / c2,)
-                else:
-                    roots_u = _quadratic_roots(c4, c2, c0)
-                if roots_u is None:
-                    val_ok = sq_ok = False
-                    continue
-                for u in roots_u:
-                    sq_acc.add(u)
-                    ws = u.exact_sqrts()
-                    if ws is None:
-                        val_ok = False
-                    else:
-                        val_acc.update(ws)
-            elif max(degs) <= 2:
-                c2 = coeffs.get(2, ZERO)
-                c1 = coeffs.get(1, ZERO)
-                c0 = coeffs.get(0, ZERO)
-                if c2.is_zero():
-                    roots: Optional[Tuple[GaussianRational, ...]] = (-c0 / c1,)
-                else:
-                    roots = _quadratic_roots(c2, c1, c0)
-                if roots is None:
-                    val_ok = sq_ok = False
-                    continue
-                for w in roots:
+            if max(degs) > 2 * scale:
+                # degree 3+ in w: roots exist but are not solvable here
+                val_ok = sq_ok = False
+                continue
+            a = coeffs.get(2 * scale, ZERO)
+            b = coeffs.get(scale, ZERO)
+            c = coeffs.get(0, ZERO)
+            roots = (-c / b,) if a.is_zero() else _quadratic_roots(a, b, c)
+            if roots is None:
+                val_ok = sq_ok = False
+                continue
+            for w in roots:
+                if scale == 1:
                     val_acc.add(w)
                     sq_acc.add(w.square())
-            else:
-                # degree 3+ with odd terms: roots exist but are not solvable here
-                val_ok = sq_ok = False
+                    continue
+                sq_acc.add(w)
+                ws = w.exact_sqrts()
+                if ws is None:
+                    val_ok = False
+                else:
+                    val_acc.update(ws)
         if not feasible:
             raise ContradictionError(var, eq.label)
         rule = self._value_rule(eq, var)
+        sqs = self._squares.get(var)
         if val_ok:
             if sqs is not None:
                 val_acc = {w for w in val_acc if w.square() in sqs}
             if not val_acc:
                 raise ContradictionError(var, eq.label)
             if len(val_acc) <= self.set_cap:
-                self._set_values(var, frozenset(val_acc), eq, rule)
+                self._set(var, "value", frozenset(val_acc), eq, rule)
                 return
         if sq_ok:
-            allowed = frozenset(sq_acc)
-            if sqs is not None:
-                allowed = frozenset(s for s in sqs if s in sq_acc)
+            allowed = frozenset(sq_acc) if sqs is None else sqs & sq_acc
             if not allowed:
                 raise ContradictionError(var, eq.label)
             if len(allowed) <= self.set_cap:
-                self._set_squares(var, allowed, eq, rule)
+                self._set(var, "square", allowed, eq, rule)
 
     @staticmethod
     def _value_rule(eq: _Equation, var: int) -> str:
@@ -520,68 +496,42 @@ class SolverState:
 
     # -- state updates -------------------------------------------------------
 
-    def _set_values(
+    def _set(
         self,
         var: int,
-        new_vals: FrozenSet[GaussianRational],
+        view: str,
+        new: FrozenSet[GaussianRational],
         eq: Optional[_Equation],
         rule: str,
     ) -> None:
-        old = self._values.get(var)
-        if old is not None:
-            if not new_vals < old:
-                return
-        if not new_vals:
+        """Narrow one view of var to new.  A value set also fixes the
+        square image; a square set (made only while the values are unknown)
+        whose roots are all exact fixes the values through the rule
+        "square-root"."""
+        store = self._values if view == "value" else self._squares
+        old = store.get(var)
+        if old is not None and not new < old:
+            return
+        if not new:
             raise ContradictionError(var, eq.label if eq else rule)
         self.trace.append(
             TraceStep(
-                eq.label if eq else rule,
-                var,
-                "value",
-                _fmt_set(old),
-                _fmt_set(new_vals),
-                rule,
+                eq.label if eq else rule, var, view, _fmt_set(old), _fmt_set(new), rule
             )
         )
-        self._values[var] = new_vals
-        image = frozenset(v.square() for v in new_vals)
-        self._squares[var] = image
+        store[var] = new
         self._touch(var)
-
-    def _set_squares(
-        self,
-        var: int,
-        new_sqs: FrozenSet[GaussianRational],
-        eq: Optional[_Equation],
-        rule: str,
-    ) -> None:
-        old = self._squares.get(var)
-        if old is not None:
-            if not new_sqs < old:
+        if view == "value":
+            self._squares[var] = frozenset(v.square() for v in new)
+            return
+        roots: List[GaussianRational] = []
+        for s in new:
+            ws = s.exact_sqrts()
+            if ws is None:
                 return
-        if not new_sqs:
-            raise ContradictionError(var, eq.label if eq else rule)
-        self.trace.append(
-            TraceStep(
-                eq.label if eq else rule,
-                var,
-                "square",
-                _fmt_set(old),
-                _fmt_set(new_sqs),
-                rule,
-            )
-        )
-        self._squares[var] = new_sqs
-        self._touch(var)
-        if self._values.get(var) is None:
-            roots: List[GaussianRational] = []
-            for s in new_sqs:
-                ws = s.exact_sqrts()
-                if ws is None:
-                    return
-                roots.extend(ws)
-            if len(roots) <= self.set_cap:
-                self._set_values(var, frozenset(roots), eq, "square-root")
+            roots.extend(ws)
+        if len(roots) <= self.set_cap:
+            self._set(var, "value", frozenset(roots), eq, "square-root")
 
     # -- elimination on stalls ------------------------------------------------
 

@@ -26,6 +26,8 @@ from .replay import (
     ParametricIdentity,
     ReplayMismatchError,
     construction,
+    double_representations_hold,
+    format_candidates,
     pad,
     replay_script,
 )
@@ -202,7 +204,7 @@ def verify_case_k4(
             CheckResult(
                 f"exception-pinned:{n}",
                 state.is_pinned(n),
-                f"candidates {state.candidates(n)}",
+                f"candidates {format_candidates(state.candidates(n))}",
             )
         )
     if max_m < 1:
@@ -254,20 +256,21 @@ def _two_equation_solutions() -> set:
     4 + (f2*f3)^2 = f2^2 + 4*f3^2  and  5 + 3*f3^2 = 8*f2^2.
 
     Solved by eliminating f3^2 and factoring the resulting quadratic in
-    f2^2, entirely over exact rationals.
+    f2^2, entirely over exact rationals; each signed pair is then checked
+    against both equations.
     """
     # substitute v = (8u - 5)/3 into u*v + 4 = u + 4v, u = f2^2:
     # 8u^2 - 40u + 32 = 0, i.e. u in {1, 4}
     solutions = set()
     for u in (Fraction(1), Fraction(4)):
         v = (8 * u - 5) / 3
-        if u * v + 4 != u + 4 * v:
-            continue
         su = isqrt(u.numerator)
         sv = isqrt(v.numerator)
         for sa in (1, -1):
             for sb in (1, -1):
-                solutions.add((gauss(sa * su), gauss(sb * sv)))
+                pair = (gauss(sa * su), gauss(sb * sv))
+                if double_representations_hold(*pair):
+                    solutions.add(pair)
     return solutions
 
 
@@ -387,6 +390,8 @@ def theorem_check(
     """Dispatch to the case verifier and require full pinning up to bound."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     if k in (2, 3):
         # these cases rest on external characterizations; run the engine
         # in exploration mode and report what it pins, with no verdict

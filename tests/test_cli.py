@@ -140,6 +140,14 @@ def test_theorem_budget_applies_to_every_k(capsys):
         assert env["result"]["error"] == "BudgetExceededError"
 
 
+def test_theorem_bound_below_1_exits_2(capsys):
+    for k, bound in (("5", "-5"), ("4", "0")):
+        code, out, err = run_cli("theorem", "--k", k, "--bound", bound, capsys=capsys)
+        assert code == 2, (k, bound)
+        assert out == ""
+        assert "bound must be >= 1" in err
+
+
 def test_json_roundtrip_byte_identical(capsys):
     _, out, _ = run_cli("exceptions", "--k", "5", "--bound", "40", capsys=capsys)
     env = parse(out)
@@ -147,19 +155,24 @@ def test_json_roundtrip_byte_identical(capsys):
 
 
 def test_no_floats_anywhere(capsys):
-    _, out, _ = run_cli("solve", "--k", "4", "--bound", "40", "--trace",
-                        capsys=capsys)
-
+    # values travel as exact strings, never as floats or Python reprs
     def walk(node):
         assert not isinstance(node, float)
-        if isinstance(node, dict):
+        if isinstance(node, str):
+            assert "GaussianRational" not in node and "frozenset" not in node, node
+        elif isinstance(node, dict):
             for v in node.values():
                 walk(v)
         elif isinstance(node, list):
             for v in node:
                 walk(v)
 
-    walk(parse(out))
+    for argv in (
+        ("solve", "--k", "4", "--bound", "40", "--trace"),
+        ("theorem", "--k", "4", "--bound", "60"),
+    ):
+        _, out, _ = run_cli(*argv, capsys=capsys)
+        walk(parse(out))
 
 
 def test_text_and_json_agree(capsys):

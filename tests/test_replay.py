@@ -108,13 +108,43 @@ def test_replay_end_states_identity():
             assert final(result, n) == only(n), (k, n)
 
 
-def test_resultants_needed_for_general_replay(monkeypatch):
-    # ablation: without resultants the k >= 8 double representations no
-    # longer narrow f(2) and f(3), while the k = 5 script never needs one
+def _without_resultants(monkeypatch):
     monkeypatch.setattr(solver_module, "RESULTANT_CAP", 0)
+
+
+def _without_split_forms(monkeypatch):
+    unsplit = solver_module.sos_rhs
+    monkeypatch.setattr(
+        solver_module, "sos_rhs", lambda c, split=False: unsplit(c, split=False)
+    )
+
+
+def _without_square_view(monkeypatch):
+    narrow = SolverState._set
+
+    def values_only(self, var, view, new, eq, rule):
+        if view == "value":
+            narrow(self, var, view, new, eq, rule)
+
+    monkeypatch.setattr(SolverState, "_set", values_only)
+
+
+@pytest.mark.parametrize(
+    "ablate, k, stage, got",
+    [
+        (_without_resultants, 8, "double-representations-40-32", "unknown"),
+        (_without_split_forms, 8, "double-representations-40-32", "unknown"),
+        (_without_square_view, 6, "block-30-41-21", "{-2,-6,2,6}"),
+    ],
+    ids=["resultants", "split-forms", "square-view"],
+)
+def test_mechanism_ablation(monkeypatch, ablate, k, stage, got):
+    # each mechanism is needed by some scripted claim about f(2), while the
+    # k = 5 script needs none of them
+    ablate(monkeypatch)
     with pytest.raises(ReplayMismatchError) as err:
-        replay_script(8)
-    assert err.value.stage == "double-representations-40-32"
+        replay_script(k)
+    assert (err.value.stage, err.value.variable, err.value.got) == (stage, 2, got)
     assert replay_script(5).state.is_pinned(20)
 
 

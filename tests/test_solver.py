@@ -1,11 +1,14 @@
 """Propagation engine: narrowing behavior, soundness, and determinism."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from multsquares.constraints import Multiplicative, SumOfSquares, generate_constraints
 from multsquares.gaussian import gauss
+from multsquares.replay import replay_script
 from multsquares.solver import (
     BudgetExceededError,
     MissingValueError,
@@ -127,11 +130,36 @@ def test_identity_never_pruned():
                 assert str(gauss(n * n)) in step.after, (k, step)
 
 
+# sha256 of json.dumps(to_dict(), sort_keys=True): the traces, including
+# their square-view steps (replay 6, solve 4), are pinned across changes
+TRACE_DIGESTS = {
+    ("replay", 4): "7eb9eb4fd719a50ae6968ec9acc48e780bad42779834005eb62de6f1d39c3106",
+    ("replay", 5): "94b68cde5f065c4030a19abe86c5112372229598327760ad84e08fa6af081a94",
+    ("replay", 6): "bf0a8434cb8cc4646ff2866a7d1ea77c6bb767262342d6908788175914d0a6c2",
+    ("replay", 7): "cfa58d45872d117001b962538ec30a8b37909cd3a7d549edd6c6723a3753af41",
+    ("replay", 8): "6ba8cee2a68273f6149e402cdf38adb91ebde4971143f4c1df301e73e189a4e5",
+    ("replay", 13): "60dddccb7d295b3da2186bdafbf0b7db25e10e8aa0f0f3b5cfd602052edee9da",
+    ("solve", 4): "545ce2c1973f972288722d0599b146e9369676a74735e6552ba070e5107d7c79",
+    ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
+    ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
+}
+
+
 def test_trace_determinism():
     a = fresh(5, 80)
     b = fresh(5, 80)
     assert a.trace == b.trace
     assert a.report().to_dict() == b.report().to_dict()
+    for (kind, k), digest in TRACE_DIGESTS.items():
+        result = replay_script(k) if kind == "replay" else solve(k, 100)
+        text = json.dumps(result.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, k)
+
+
+def test_pairing_needed_for_solve_k13():
+    # ablation: without paired equations the engine pins almost nothing
+    assert len(solve(13, 60, pair_cap=0).pinned) == 2
+    assert solve(13, 60).all_pinned
 
 
 def test_budget_exceeded():

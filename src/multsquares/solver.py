@@ -145,7 +145,7 @@ def _gint(c: int) -> GaussianRational:
 
 class _Equation:
     __slots__ = (
-        "eq_id", "poly", "label", "rule", "target", "vars", "var_powers", "decomp"
+        "eq_id", "poly", "label", "rule", "target", "vars", "var_powers", "_decomp"
     )
 
     def __init__(
@@ -158,19 +158,30 @@ class _Equation:
         self.target = target
         self.vars = poly_vars(poly)
         powers: Dict[int, set] = {v: set() for v in self.vars}
-        decomp: Dict[int, List[Tuple[int, Monomial, int]]] = {
-            v: [] for v in self.vars
-        }
-        for mono, coeff in sorted(poly.items()):
-            present = dict(mono)
-            for v in self.vars:
-                d = present.get(v, 0)
+        for mono in poly:
+            for v, d in mono:
                 if d:
                     powers[v].add(d)
-                residual = tuple((u, p) for u, p in mono if u != v)
-                decomp[v].append((d, residual, coeff))
         self.var_powers = {v: tuple(sorted(ps)) for v, ps in powers.items()}
-        self.decomp = decomp
+        self._decomp: Dict[int, List[Tuple[int, Monomial, int]]] = {}
+
+    def decomposition(self, var: int) -> List[Tuple[int, Monomial, int]]:
+        """The terms as (power of var, rest of the monomial, coefficient),
+        built the first time var is solved for."""
+        terms = self._decomp.get(var)
+        if terms is None:
+            terms = []
+            for mono, coeff in sorted(self.poly.items()):
+                d = 0
+                residual = []
+                for u, p in mono:
+                    if u == var:
+                        d = p
+                    else:
+                        residual.append((u, p))
+                terms.append((d, tuple(residual), coeff))
+            self._decomp[var] = terms
+        return terms
 
 
 def _quadratic_roots(
@@ -221,6 +232,12 @@ class SolverState:
         self._sos_seen: Dict[int, int] = {}
         self._pending: List[int] = []
         self._in_pending: set = set()
+        # open unknowns (value set None) per equation; the ids with exactly
+        # two are the stall round's candidates.  Counts only fall.
+        self._open: List[int] = []
+        self._two_open: set = set()
+        # equations whose unknowns are all single values and that hold
+        self._settled: set = set()
         self._ops = 0
         self._resultants = 0
         self._elim_tried: set = set()
@@ -290,11 +307,15 @@ class SolverState:
             self._var_eqs.setdefault(v, []).append(eq.eq_id)
             self._values.setdefault(v, None)
             self._squares.setdefault(v, None)
+        n_open = sum(1 for v in eq.vars if self._values[v] is None)
+        self._open.append(n_open)
+        if n_open == 2:
+            self._two_open.add(eq.eq_id)
         self._push(eq.eq_id)
         return True
 
     def _push(self, eq_id: int) -> None:
-        if eq_id not in self._in_pending:
+        if eq_id not in self._in_pending and eq_id not in self._settled:
             self._in_pending.add(eq_id)
             heapq.heappush(self._pending, eq_id)
 
@@ -319,8 +340,29 @@ class SolverState:
             if self._ops > self.budget:
                 raise BudgetExceededError(self)
             eq = self._equations[eq_id]
+            if self._open[eq_id] == 0 and self._holds_pinned(eq):
+                self._settled.add(eq_id)
+                continue
             for var in eq.vars:
                 self._narrow_var(eq, var)
+
+    def _holds_pinned(self, eq: _Equation) -> bool:
+        """Whether every unknown of eq holds one value and eq holds there.
+        Such an equation can narrow nothing more: a single value can only
+        shrink to empty, which raises in the equation that empties it."""
+        point = {}
+        for v in eq.vars:
+            vals = self._values[v]
+            if len(vals) != 1:
+                return False
+            (point[v],) = vals
+        total = ZERO
+        for mono, coeff in eq.poly.items():
+            term = _gint(coeff)
+            for u, p in mono:
+                term = term * point[u] ** p
+            total = total + term
+        return total.is_zero()
 
     def _view(
         self, eq: _Equation, u: int
@@ -367,7 +409,7 @@ class SolverState:
     ) -> Dict[int, GaussianRational]:
         assign = dict(zip(others, combo))
         coeffs: Dict[int, GaussianRational] = {}
-        for d, residual, coeff in eq.decomp[var]:
+        for d, residual, coeff in eq.decomposition(var):
             acc = _gint(coeff)
             for u, p in residual:
                 view, x = assign[u]
@@ -522,6 +564,13 @@ class SolverState:
         store[var] = new
         self._touch(var)
         if view == "value":
+            if old is None:
+                for eq_id in self._var_eqs.get(var, ()):
+                    self._open[eq_id] -= 1
+                    if self._open[eq_id] == 2:
+                        self._two_open.add(eq_id)
+                    else:
+                        self._two_open.discard(eq_id)
             self._squares[var] = frozenset(v.square() for v in new)
             return
         roots: List[GaussianRational] = []
@@ -535,15 +584,21 @@ class SolverState:
 
     # -- elimination on stalls ------------------------------------------------
 
+    def _stall_groups(self) -> Dict[Tuple[int, int], List[int]]:
+        """Equation ids, ascending, by their two unresolved unknowns; read
+        from the index, so the cost follows the candidates, not all equations."""
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for eq_id in sorted(self._two_open):
+            eq = self._equations[eq_id]
+            unresolved = tuple(v for v in eq.vars if self._values[v] is None)
+            groups.setdefault(unresolved, []).append(eq_id)
+        return groups
+
     def _stall_round(self) -> bool:
         """Derive resultants between equations sharing two unresolved unknowns."""
         if self._resultants >= RESULTANT_CAP:
             return False
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for eq in self._equations:
-            unresolved = [v for v in eq.vars if self._values.get(v) is None]
-            if len(unresolved) == 2:
-                groups.setdefault(tuple(unresolved), []).append(eq.eq_id)
+        groups = self._stall_groups()
         added = False
         for pair in sorted(groups):
             ids = groups[pair]

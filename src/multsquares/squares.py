@@ -9,6 +9,11 @@ from math import isqrt
 from typing import Iterator, List, Optional, Tuple
 
 
+# largest bound the exceptional-set DP accepts; its bitmask and its time
+# grow with the bound
+MAX_DP_BOUND = 10**6
+
+
 class UnsupportedKError(ValueError):
     """The closed-form exceptional sets are only defined for k >= 4."""
 
@@ -212,9 +217,12 @@ def _representable_mask(k: int, bound: int) -> int:
 
 
 def exceptional_set(k: int, bound: int) -> List[int]:
-    """All n <= bound with no representation, by dynamic programming."""
+    """All n <= bound with no representation, by dynamic programming.
+    The bitmask grows with bound, so bound is capped at MAX_DP_BOUND."""
     if k < 1 or bound < 1:
         raise ValueError("k and bound must be positive")
+    if bound > MAX_DP_BOUND:
+        raise ValueError(f"bound must be at most {MAX_DP_BOUND}")
     mask = _representable_mask(k, bound)
     return [n for n in range(1, bound + 1) if not (mask >> n) & 1]
 

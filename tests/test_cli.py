@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import multsquares.squares as squares_module
 from multsquares.cli import main
 
 
@@ -146,6 +147,18 @@ def test_theorem_bound_below_1_exits_2(capsys):
         assert code == 2, (k, bound)
         assert out == ""
         assert "bound must be >= 1" in err
+
+
+def test_dp_bound_above_limit_exits_2(capsys, monkeypatch):
+    def refuse(k, bound):
+        raise AssertionError("the DP must not start")
+
+    monkeypatch.setattr(squares_module, "_representable_mask", refuse)
+    for command, k in (("exceptions", "4"), ("verify-dubouis", "5")):
+        code, out, err = run_cli(command, "--k", k, "--bound", "1000001", capsys=capsys)
+        assert code == 2, command
+        assert out == ""
+        assert "bound must be at most 1000000" in err
 
 
 def test_json_roundtrip_byte_identical(capsys):

@@ -11,6 +11,7 @@ from multsquares.gaussian import gauss
 from multsquares.replay import replay_script
 from multsquares.solver import (
     BudgetExceededError,
+    ContradictionError,
     MissingValueError,
     NoSmallRepresentationError,
     SolverState,
@@ -130,8 +131,10 @@ def test_identity_never_pruned():
                 assert str(gauss(n * n)) in step.after, (k, step)
 
 
-# sha256 of json.dumps(to_dict(), sort_keys=True): the traces, including
-# their square-view steps (replay 6, solve 4), are pinned across changes
+# sha256 of json.dumps(..., sort_keys=True) of replay_script(k).to_dict(),
+# solve(k, 100).to_dict(), and the trace of replay_script(k).state swept to
+# n = 1000: the traces, including their square-view steps (replay 6,
+# solve 4), are pinned across changes
 TRACE_DIGESTS = {
     ("replay", 4): "7eb9eb4fd719a50ae6968ec9acc48e780bad42779834005eb62de6f1d39c3106",
     ("replay", 5): "94b68cde5f065c4030a19abe86c5112372229598327760ad84e08fa6af081a94",
@@ -142,7 +145,19 @@ TRACE_DIGESTS = {
     ("solve", 4): "545ce2c1973f972288722d0599b146e9369676a74735e6552ba070e5107d7c79",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
+    ("sweep", 5): "cba9a41f5a7d4b671d49f74a2ebf1195cc9c571863b7660c20eefef3ea30f07d",
+    ("sweep", 13): "2f7d72bd940cc7e55e86665c446ea80d384076bc45d6d02b7449e4e442c57391",
 }
+
+
+def _pinned_run(kind, k):
+    if kind == "replay":
+        return replay_script(k).to_dict()
+    if kind == "solve":
+        return solve(k, 100).to_dict()
+    state = replay_script(k).state
+    assert induction_sweep(state, 2, 1000) is None
+    return [step.to_dict() for step in state.trace]
 
 
 def test_trace_determinism():
@@ -151,9 +166,80 @@ def test_trace_determinism():
     assert a.trace == b.trace
     assert a.report().to_dict() == b.report().to_dict()
     for (kind, k), digest in TRACE_DIGESTS.items():
-        result = replay_script(k) if kind == "replay" else solve(k, 100)
-        text = json.dumps(result.to_dict(), sort_keys=True)
+        text = json.dumps(_pinned_run(kind, k), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, k)
+
+
+def _rescan(state):
+    """Open-unknown counts per equation and the stall round's pair groups,
+    by a scan of every equation."""
+    counts, groups = [], {}
+    for eq in state._equations:
+        unresolved = [v for v in eq.vars if state._values.get(v) is None]
+        counts.append(len(unresolved))
+        if len(unresolved) == 2:
+            groups.setdefault(tuple(unresolved), []).append(eq.eq_id)
+    return counts, groups
+
+
+def test_stall_index_matches_full_rescan(monkeypatch):
+    original = SolverState._stall_round
+    rounds = []
+
+    def checked(state):
+        counts, groups = _rescan(state)
+        assert state._open == counts
+        assert state._stall_groups() == groups
+        rounds.append(len(state._equations))
+        return original(state)
+
+    monkeypatch.setattr(SolverState, "_stall_round", checked)
+    for k in (2, 3, 4, 5, 8, 13):
+        solve(k, 100)
+    for k in (4, 5, 6, 7, 8, 13):
+        replay_script(k)
+    state = replay_script(13).state
+    assert induction_sweep(state, 2, 300) is None
+    assert len(rounds) > 300
+
+
+def _pinned_sum(values):
+    """f(29) = f(4)^2 + 3 f(2)^2 + 1 with every unknown a single value."""
+    state = SolverState(5, 29)
+    for v, x in values.items():
+        state._values[v] = frozenset({gauss(x)})
+        state._squares[v] = frozenset({gauss(x * x)})
+    state.add_constraints([SumOfSquares(29, (4, 2, 2, 2, 1))])
+    return state
+
+
+def test_settled_equation_that_fails_raises_as_narrowing_does():
+    # f(29) is the wrong value, yet the set that empties is f(2)'s, the
+    # first unknown narrowed (the same variable and label as before the
+    # retirement of settled equations)
+    state = _pinned_sum({29: 30, 4: 4, 2: 2})
+    with pytest.raises(ContradictionError) as err:
+        state.propagate()
+    assert err.value.variable == 2
+    assert err.value.constraint == "f(29)=f(4)^2+f(2)^2+f(2)^2+f(2)^2+f(1)^2"
+
+
+def test_settled_equation_retires(monkeypatch):
+    narrowed = []
+    original = SolverState._narrow_var
+
+    def recording(state, eq, var):
+        narrowed.append((eq.eq_id, var))
+        return original(state, eq, var)
+
+    monkeypatch.setattr(SolverState, "_narrow_var", recording)
+    state = _pinned_sum({29: 29, 4: 4, 2: 2})
+    state.propagate()
+    assert state.trace == []
+    state._touch(4)
+    state.propagate()
+    assert narrowed == []
+    assert state._ops == 1
 
 
 def test_pairing_needed_for_solve_k13():

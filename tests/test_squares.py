@@ -135,6 +135,11 @@ def test_exceptional_set_examples():
     assert exceptional_set(1, 10) == [2, 3, 5, 6, 7, 8, 10]
 
 
+def test_exceptional_set_bound_limit():
+    with pytest.raises(ValueError, match="at most 1000000"):
+        exceptional_set(4, 10**6 + 1)
+
+
 def test_exceptional_set_matches_pointwise_decision():
     for k in (1, 2, 4, 6):
         members = set(exceptional_set(k, 200))

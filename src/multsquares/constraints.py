@@ -61,6 +61,10 @@ class Multiplicative:
 
 Constraint = Union[SumOfSquares, Multiplicative]
 
+# The solver keeps every equation, key and trace step, so its memory grows
+# with the bound; this caps the bound of every solver entry point.
+MAX_SOLVER_BOUND = 10**4
+
 
 def generate_constraints(
     k: int, bound: int, per_target_cap: int = 16
@@ -74,6 +78,8 @@ def generate_constraints(
         raise ValueError("k must be >= 2")
     if bound < k:
         raise ValueError("bound must be >= k")
+    if bound > MAX_SOLVER_BOUND:
+        raise ValueError(f"bound must be at most {MAX_SOLVER_BOUND}")
     out: List[Constraint] = []
     for n in range(2, bound + 1):
         enum = enumerate_representations(n, k, limit=per_target_cap)

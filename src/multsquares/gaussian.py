@@ -1,10 +1,12 @@
-"""Exact complex numbers with rational real and imaginary parts.
+"""Exact complex numbers with rational real and imaginary parts, and the
+exact rational square root.
 
-The solver never touches floating point: every candidate value is a
-GaussianRational, arithmetic is exact, and square roots are taken only
-when they exist exactly in this domain.  Components are stored as plain
-ints whenever they are integral, which keeps the common all-integer
-arithmetic on the fast path.
+A GaussianRational is the value of f that the public API speaks: the
+parsed values of `check --values`, the sides of a Violation, and the
+candidate sets that SolverState hands out.  The solver itself computes
+over exact rationals (int | Fraction) and takes only the rational helpers
+from here.  Components are stored as plain ints whenever they are
+integral.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -67,33 +69,11 @@ class GaussianRational:
             return GaussianRational(a * c)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        c, d = other.re, other.im
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        a, b = self.re, self.im
-        return GaussianRational(
-            Fraction(a * c + b * d) / n, Fraction(b * c - a * d) / n
-        )
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            raise ValueError("negative powers are not used here")
-        if self.im == 0:
-            return GaussianRational(self.re**exponent)
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def square(self) -> "GaussianRational":
+        return self * self
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,53 +88,6 @@ class GaussianRational:
             h = hash((self.re, self.im))
             object.__setattr__(self, "_hash", h)
         return h
-
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and type(self.re) is int
-
-    def sort_key(self) -> Tuple[Fraction, Fraction]:
-        """Total order on values, used for deterministic serialization."""
-        return (self.re, self.im)
-
-    def square(self) -> "GaussianRational":
-        return self * self
-
-    def exact_sqrts(self) -> Optional[Tuple["GaussianRational", ...]]:
-        """All square roots that are themselves Gaussian rationals.
-
-        Returns (0,) for zero, a (+w, -w) pair when the roots are exactly
-        representable, and None when they are irrational.  None never means
-        "no complex root exists", only "not representable here".
-        """
-        if self.is_zero():
-            return (ZERO,)
-        if self.im == 0:
-            if self.re > 0:
-                r = fraction_sqrt(self.re)
-                if r is None:
-                    return None
-                w = GaussianRational(r)
-            else:
-                r = fraction_sqrt(-self.re)
-                if r is None:
-                    return None
-                w = GaussianRational(0, r)
-            return (w, -w)
-        norm = self.re * self.re + self.im * self.im
-        r = fraction_sqrt(norm)
-        if r is None:
-            return None
-        # roots are +-(x + y*i) with x^2 = (re + |v|)/2 and y = im/(2x)
-        x = fraction_sqrt(Fraction(self.re + r) / 2)
-        if x is None:
-            return None
-        w = GaussianRational(x, Fraction(self.im) / 2 / x)
-        return (w, -w)
 
     # -- formatting -------------------------------------------------------
 

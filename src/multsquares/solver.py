@@ -7,17 +7,19 @@ while f(n) itself stays ambiguous up to sign or is not even representable
 in the value domain.
 
 Narrowing is uniform: every constraint (and every derived equation) is an
-integer-coefficient polynomial equation over the unknowns.  A candidate is
-removed only when no assignment of the other variables, drawn from their
-current views, satisfies the equation; pruning that would require an
-irrational root is skipped, so sets stay supersets of every complex
-solution of the tracked system.
+integer-coefficient polynomial equation over the unknowns.  Values are
+exact rationals, held as int when integral and as Fraction otherwise.  A
+candidate is removed only when no assignment of the other variables, drawn
+from their current views, satisfies the equation; pruning that would
+require an irrational or non-real root is skipped, so sets stay supersets
+of every complex solution of the tracked system.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -39,7 +41,7 @@ from .constraints import (
     poly_vars,
     sos_rhs,
 )
-from .gaussian import ONE, ZERO, GaussianRational, gauss
+from .gaussian import ONE, ZERO, GaussianRational, Rational, _norm, fraction_sqrt
 from .squares import enumerate_representations
 
 DEFAULT_BUDGET = 5_000_000
@@ -126,21 +128,35 @@ class Violation:
         }
 
 
-def _fmt_set(values: Optional[FrozenSet[GaussianRational]]) -> Optional[Tuple[str, ...]]:
+def _fmt_set(values: Optional[FrozenSet[Rational]]) -> Optional[Tuple[str, ...]]:
     if values is None:
         return None
-    return tuple(str(v) for v in sorted(values, key=lambda g: g.sort_key()))
+    return tuple(str(v) for v in sorted(values))
 
 
-_INT_CACHE: Dict[int, GaussianRational] = {}
+def _gaussian_set(
+    values: Optional[FrozenSet[Rational]],
+) -> Optional[FrozenSet[GaussianRational]]:
+    """A candidate set in the public value type."""
+    if values is None:
+        return None
+    return frozenset(GaussianRational(v) for v in values)
 
 
-def _gint(c: int) -> GaussianRational:
-    g = _INT_CACHE.get(c)
-    if g is None:
-        g = gauss(c)
-        _INT_CACHE[c] = g
-    return g
+def _div(p: Rational, q: Rational) -> Rational:
+    """Exact p / q, an int when integral."""
+    return _norm(Fraction(p, q))
+
+
+def _sqrts(w: Rational) -> Optional[Tuple[Rational, ...]]:
+    """The rational square roots of w: (0,) for 0, (r, -r) when they are
+    rational, and None when they are irrational or non-real."""
+    if w == 0:
+        return (0,)
+    if w < 0:
+        return None
+    r = fraction_sqrt(w)
+    return None if r is None else (r, -r)
 
 
 class _Equation:
@@ -185,17 +201,16 @@ class _Equation:
 
 
 def _quadratic_roots(
-    a: GaussianRational, b: GaussianRational, c: GaussianRational
-) -> Optional[Tuple[GaussianRational, ...]]:
-    """Exact roots of a w^2 + b w + c with a != 0, or None if irrational."""
-    disc = b * b - _gint(4) * a * c
-    sqrts = disc.exact_sqrts()
+    a: Rational, b: Rational, c: Rational
+) -> Optional[Tuple[Rational, ...]]:
+    """Exact roots of a w^2 + b w + c with a != 0, or None unless both are
+    rational."""
+    sqrts = _sqrts(b * b - 4 * a * c)
     if sqrts is None:
         return None
     r = sqrts[0]
-    two_a = _gint(2) * a
-    w1 = (-b + r) / two_a
-    w2 = (-b - r) / two_a
+    w1 = _div(-b + r, 2 * a)
+    w2 = _div(-b - r, 2 * a)
     return (w1,) if w1 == w2 else (w1, w2)
 
 
@@ -219,12 +234,8 @@ class SolverState:
         self.pair_cap = pair_cap
         self.budget = budget
         self.trace: List[TraceStep] = []
-        self._values: Dict[int, Optional[FrozenSet[GaussianRational]]] = {
-            1: frozenset({ONE})
-        }
-        self._squares: Dict[int, Optional[FrozenSet[GaussianRational]]] = {
-            1: frozenset({ONE})
-        }
+        self._values: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
+        self._squares: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
         self._equations: List[_Equation] = []
         self._eq_keys: set = set()
         self._var_eqs: Dict[int, List[int]] = {}
@@ -245,13 +256,13 @@ class SolverState:
     # -- candidate accessors ----------------------------------------------
 
     def candidates(self, n: int) -> Optional[FrozenSet[GaussianRational]]:
-        return self._values.get(n)
+        return _gaussian_set(self._values.get(n))
 
     def square_candidates(self, n: int) -> Optional[FrozenSet[GaussianRational]]:
-        return self._squares.get(n)
+        return _gaussian_set(self._squares.get(n))
 
     def is_pinned(self, n: int) -> bool:
-        return self._values.get(n) == frozenset({_gint(n)})
+        return self._values.get(n) == frozenset({n})
 
     # -- construction -------------------------------------------------------
 
@@ -356,17 +367,16 @@ class SolverState:
             if len(vals) != 1:
                 return False
             (point[v],) = vals
-        total = ZERO
-        for mono, coeff in eq.poly.items():
-            term = _gint(coeff)
+        total = 0
+        for mono, term in eq.poly.items():
             for u, p in mono:
-                term = term * point[u] ** p
-            total = total + term
-        return total.is_zero()
+                term *= point[u] ** p
+            total += term
+        return total == 0
 
     def _view(
         self, eq: _Equation, u: int
-    ) -> Optional[Tuple[str, FrozenSet[GaussianRational]]]:
+    ) -> Optional[Tuple[str, FrozenSet[Rational]]]:
         """The view of u that eq narrows and reads: the values when known,
         else the squares when every power of u in eq is even, else None."""
         vals = self._values.get(u)
@@ -379,10 +389,10 @@ class SolverState:
 
     def _assignments(
         self, eq: _Equation, var: int
-    ) -> Optional[Tuple[Tuple[int, ...], List[List[Tuple[str, GaussianRational]]]]]:
+    ) -> Optional[Tuple[Tuple[int, ...], List[List[Tuple[str, Rational]]]]]:
         """Per-other-variable assignment options, or None if some view is missing."""
         others: List[int] = []
-        options: List[List[Tuple[str, GaussianRational]]] = []
+        options: List[List[Tuple[str, Rational]]] = []
         total = 1
         for u in eq.vars:
             if u == var:
@@ -391,7 +401,7 @@ class SolverState:
             if seen is None:
                 return None
             view, cands = seen
-            opts = [(view, x) for x in sorted(cands, key=lambda g: g.sort_key())]
+            opts = [(view, x) for x in sorted(cands)]
             others.append(u)
             options.append(opts)
             total *= len(opts)
@@ -404,29 +414,18 @@ class SolverState:
         eq: _Equation,
         var: int,
         others: Tuple[int, ...],
-        combo: Tuple[Tuple[str, GaussianRational], ...],
-        pow_cache: Dict[Tuple[GaussianRational, int], GaussianRational],
-    ) -> Dict[int, GaussianRational]:
+        combo: Tuple[Tuple[str, Rational], ...],
+    ) -> Dict[int, Rational]:
         assign = dict(zip(others, combo))
-        coeffs: Dict[int, GaussianRational] = {}
-        for d, residual, coeff in eq.decomposition(var):
-            acc = _gint(coeff)
+        coeffs: Dict[int, Rational] = {}
+        for d, residual, acc in eq.decomposition(var):
             for u, p in residual:
                 view, x = assign[u]
                 if view == "square":  # p is even here
                     p //= 2
-                if p == 1:
-                    acc = acc * x
-                else:
-                    key = (x, p)
-                    xp = pow_cache.get(key)
-                    if xp is None:
-                        xp = x**p
-                        pow_cache[key] = xp
-                    acc = acc * xp
-            prev = coeffs.get(d)
-            coeffs[d] = acc if prev is None else prev + acc
-        return {d: c for d, c in coeffs.items() if not c.is_zero()}
+                acc *= x if p == 1 else x**p
+            coeffs[d] = coeffs.get(d, 0) + acc
+        return {d: c for d, c in coeffs.items() if c != 0}
 
     def _narrow_var(self, eq: _Equation, var: int) -> None:
         prepared = self._assignments(eq, var)
@@ -446,17 +445,16 @@ class SolverState:
         of var halve."""
         remaining = set(current)
         survivors = set()
-        pow_cache: Dict = {}
         for combo in combos:
-            coeffs = self._combo_coeffs(eq, var, others, combo, pow_cache)
+            coeffs = self._combo_coeffs(eq, var, others, combo)
             if view == "square":
                 coeffs = {d // 2: coef for d, coef in coeffs.items()}
             moved = []
             for c in remaining:
-                total = ZERO
+                total = 0
                 for d, coef in coeffs.items():
-                    total = total + coef * c**d
-                if total.is_zero():
+                    total += coef * c**d
+                if total == 0:
                     survivors.add(c)
                     moved.append(c)
             for c in moved:
@@ -476,13 +474,12 @@ class SolverState:
         val_ok = True  # every root has exact values
         sq_ok = True  # every combination was solved exactly
         feasible = False
-        pow_cache: Dict = {}
         for combo in combos:
-            coeffs = self._combo_coeffs(eq, var, others, combo, pow_cache)
+            coeffs = self._combo_coeffs(eq, var, others, combo)
+            if not coeffs:
+                return  # an unconstraining combination: no pruning at all
             degs = sorted(coeffs)
-            if not degs or degs == [0]:
-                if not degs or coeffs[0].is_zero():
-                    return  # an unconstraining combination: no pruning at all
+            if degs == [0]:
                 continue  # infeasible combination contributes nothing
             feasible = True
             if not sq_ok:
@@ -491,20 +488,20 @@ class SolverState:
                 # degree 3+ in w: roots exist but are not solvable here
                 val_ok = sq_ok = False
                 continue
-            a = coeffs.get(2 * scale, ZERO)
-            b = coeffs.get(scale, ZERO)
-            c = coeffs.get(0, ZERO)
-            roots = (-c / b,) if a.is_zero() else _quadratic_roots(a, b, c)
+            a = coeffs.get(2 * scale, 0)
+            b = coeffs.get(scale, 0)
+            c = coeffs.get(0, 0)
+            roots = (_div(-c, b),) if a == 0 else _quadratic_roots(a, b, c)
             if roots is None:
                 val_ok = sq_ok = False
                 continue
             for w in roots:
                 if scale == 1:
                     val_acc.add(w)
-                    sq_acc.add(w.square())
+                    sq_acc.add(w * w)
                     continue
                 sq_acc.add(w)
-                ws = w.exact_sqrts()
+                ws = _sqrts(w)
                 if ws is None:
                     val_ok = False
                 else:
@@ -515,7 +512,7 @@ class SolverState:
         sqs = self._squares.get(var)
         if val_ok:
             if sqs is not None:
-                val_acc = {w for w in val_acc if w.square() in sqs}
+                val_acc = {w for w in val_acc if w * w in sqs}
             if not val_acc:
                 raise ContradictionError(var, eq.label)
             if len(val_acc) <= self.set_cap:
@@ -542,13 +539,13 @@ class SolverState:
         self,
         var: int,
         view: str,
-        new: FrozenSet[GaussianRational],
+        new: FrozenSet[Rational],
         eq: Optional[_Equation],
         rule: str,
     ) -> None:
         """Narrow one view of var to new.  A value set also fixes the
         square image; a square set (made only while the values are unknown)
-        whose roots are all exact fixes the values through the rule
+        whose roots are all rational fixes the values through the rule
         "square-root"."""
         store = self._values if view == "value" else self._squares
         old = store.get(var)
@@ -571,11 +568,11 @@ class SolverState:
                         self._two_open.add(eq_id)
                     else:
                         self._two_open.discard(eq_id)
-            self._squares[var] = frozenset(v.square() for v in new)
+            self._squares[var] = frozenset(v * v for v in new)
             return
-        roots: List[GaussianRational] = []
+        roots: List[Rational] = []
         for s in new:
-            ws = s.exact_sqrts()
+            ws = _sqrts(s)
             if ws is None:
                 return
             roots.extend(ws)

@@ -14,7 +14,7 @@ from math import isqrt
 from typing import List, Optional, Tuple
 
 from .arith import NonRepresentableError, represent_in_semigroup
-from .constraints import Multiplicative
+from .constraints import MAX_SOLVER_BOUND, Multiplicative
 from .gaussian import gauss
 from .replay import (
     DOUBLE_REPRESENTATIONS,
@@ -392,6 +392,8 @@ def theorem_check(
         raise ValueError("k must be >= 2")
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > MAX_SOLVER_BOUND:
+        raise ValueError(f"bound must be at most {MAX_SOLVER_BOUND}")
     if k in (2, 3):
         # these cases rest on external characterizations; run the engine
         # in exploration mode and report what it pins, with no verdict

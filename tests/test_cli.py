@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
+import multsquares.constraints as constraints_module
 import multsquares.squares as squares_module
+import multsquares.theorem as theorem_module
 from multsquares.cli import main
 
 
@@ -159,6 +161,29 @@ def test_dp_bound_above_limit_exits_2(capsys, monkeypatch):
         assert code == 2, command
         assert out == ""
         assert "bound must be at most 1000000" in err
+
+
+def test_solver_bound_above_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(constraints_module, "enumerate_representations", refuse)
+    monkeypatch.setattr(theorem_module, "replay_script", refuse)
+    monkeypatch.setattr(theorem_module, "solve", refuse)
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"2": "2"}), encoding="utf-8")
+    for command, extra in (
+        ("solve", ()),
+        ("check", ("--values", str(path))),
+        ("theorem", ()),
+    ):
+        for k in ("3", "5"):
+            code, out, err = run_cli(
+                command, "--k", k, "--bound", "10001", *extra, capsys=capsys
+            )
+            assert code == 2, (command, k)
+            assert out == ""
+            assert "bound must be at most 10000" in err
 
 
 def test_json_roundtrip_byte_identical(capsys):

@@ -1,16 +1,11 @@
-"""Exact value arithmetic, parsing, and square roots."""
+"""Exact value arithmetic, parsing, and formatting."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from multsquares.gaussian import ZERO, gauss, parse_value
-
-rationals = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12
-)
-values = st.builds(gauss, rationals, rationals)
+from multsquares.gaussian import fraction_sqrt, gauss, parse_value
 
 
 def test_basic_arithmetic():
@@ -23,46 +18,20 @@ def test_basic_arithmetic():
     assert a.square() == gauss(-3, 4)
 
 
-def test_division_exact():
-    a = gauss(5, 5)
-    b = gauss(3, -1)
-    assert a / b == gauss(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        a / ZERO
-
-
-def test_powers():
-    assert gauss(0, 1) ** 2 == gauss(-1)
-    assert gauss(2) ** 10 == gauss(1024)
-    assert gauss(Fraction(1, 2)) ** 2 == gauss(Fraction(1, 4))
-
-
-@given(values, values)
-def test_mul_div_roundtrip(a, b):
-    if b.is_zero():
-        return
-    assert (a * b) / b == a
-
-
-@given(values)
-def test_sqrt_of_square_recovers_value(a):
-    roots = a.square().exact_sqrts()
-    assert roots is not None
-    assert a in roots or -a in roots
-    for w in roots:
-        assert w * w == a.square()
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=12))
+def test_sqrt_of_square_recovers_value(q):
+    assert fraction_sqrt(q * q) == abs(q)
 
 
 def test_sqrt_cases():
-    assert ZERO.exact_sqrts() == (ZERO,)
-    assert set(gauss(16).exact_sqrts()) == {gauss(4), gauss(-4)}
-    assert set(gauss(-9).exact_sqrts()) == {gauss(0, 3), gauss(0, -3)}
-    assert gauss(2).exact_sqrts() is None
-    assert gauss(-104).exact_sqrts() is None
-    assert gauss(0, 1).exact_sqrts() is None  # sqrt(i) is not Gaussian rational
-    roots = gauss(3, 4).exact_sqrts()
-    assert roots is not None and all(w * w == gauss(3, 4) for w in roots)
-    assert gauss(3, 5).exact_sqrts() is None
+    assert fraction_sqrt(0) == 0
+    assert fraction_sqrt(16) == 4 and type(fraction_sqrt(16)) is int
+    assert fraction_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert type(fraction_sqrt(Fraction(16, 1))) is int
+    assert fraction_sqrt(2) is None
+    assert fraction_sqrt(Fraction(1, 3)) is None
+    with pytest.raises(ValueError):
+        fraction_sqrt(-4)
 
 
 def test_parse_and_format_roundtrip():
@@ -79,13 +48,6 @@ def test_parse_rejects_garbage():
     for text in ("", "x", "1+", "../2"):
         with pytest.raises(ValueError):
             parse_value(text)
-
-
-def test_sort_key_total_order():
-    vals = [gauss(1), gauss(-1), gauss(0, 1), gauss(1, -1), gauss(Fraction(1, 2))]
-    ordered = sorted(vals, key=lambda v: v.sort_key())
-    assert ordered[0] == gauss(-1)
-    assert ordered[-1] == gauss(1, -1) or ordered[-1] == gauss(1)
 
 
 def test_hash_consistency():

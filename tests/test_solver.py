@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,66 @@ def test_quadratic_root_step_matches_closed_form():
     )
     state.propagate()
     assert state.candidates(3) == frozenset({gauss(1), gauss(3)})
+
+
+def test_sqrts_are_rational_and_real():
+    sqrts = solver_module._sqrts
+    assert sqrts(0) == (0,)
+    assert set(sqrts(Fraction(9, 4))) == {Fraction(3, 2), Fraction(-3, 2)}
+    assert set(sqrts(16)) == {4, -4}
+    assert all(type(r) is int for r in sqrts(16))
+    assert sqrts(2) is None
+    assert sqrts(-4) is None
+    assert sqrts(Fraction(1, 3)) is None
+
+
+def test_quadratic_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+
+    def coefficient():
+        if rng.random() < 0.5:
+            return rng.randint(-12, 12)
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+    rational_roots = 0
+    for i in range(200):
+        a = 0
+        while a == 0:
+            a = coefficient()
+        if i % 2:  # rational roots by construction
+            r1, r2 = coefficient(), coefficient()
+            b, c = -a * (r1 + r2), a * r1 * r2
+        else:
+            b, c = coefficient(), coefficient()
+        got = solver_module._quadratic_roots(a, b, c)
+        expected = sympy.roots(
+            sympy.Rational(a) * x**2 + sympy.Rational(b) * x + sympy.Rational(c), x
+        )
+        if all(r.is_rational for r in expected):
+            rational_roots += 1
+            assert got is not None and len(got) == len(expected), (a, b, c)
+            assert {Fraction(int(r.p), int(r.q)) for r in expected} == set(got)
+            assert all(type(w) is int or w.denominator != 1 for w in got)
+        else:
+            assert got is None, (a, b, c)
+    assert rational_roots > 100
+
+
+def test_non_real_root_prunes_nothing():
+    # f(2)^2 + 4 = 0: the square is known, the roots +-2i are not rational
+    state = SolverState(5, 10)
+    state._add_equation({((2, 2),): 1, (): 4}, "f(2)^2+4", "eliminated")
+    state.propagate()
+    assert state.candidates(2) is None
+    assert state.square_candidates(2) == frozenset({gauss(-4)})
+    # f(3)^2 + 2 f(3) + 5 = 0 has the roots -1 +- 2i: nothing is known
+    state = SolverState(5, 10)
+    state._add_equation({((3, 2),): 1, ((3, 1),): 2, (): 5}, "f(3)", "eliminated")
+    state.propagate()
+    assert state.candidates(3) is None
+    assert state.square_candidates(3) is None
 
 
 def test_sign_resolution_through_products():
@@ -207,8 +268,8 @@ def _pinned_sum(values):
     """f(29) = f(4)^2 + 3 f(2)^2 + 1 with every unknown a single value."""
     state = SolverState(5, 29)
     for v, x in values.items():
-        state._values[v] = frozenset({gauss(x)})
-        state._squares[v] = frozenset({gauss(x * x)})
+        state._values[v] = frozenset({x})
+        state._squares[v] = frozenset({x * x})
     state.add_constraints([SumOfSquares(29, (4, 2, 2, 2, 1))])
     return state
 
@@ -392,8 +453,8 @@ def test_pruning_validity_random_sum_constraints():
 
         state = SolverState(k, target)
         for v, vals in sets.items():
-            state._values[v] = vals
-            state._squares[v] = frozenset(w.square() for w in vals)
+            state._values[v] = frozenset(w.re for w in vals)
+            state._squares[v] = frozenset(w.re * w.re for w in vals)
         state.add_constraints([c])
         state.propagate()
 

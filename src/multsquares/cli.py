@@ -151,6 +151,19 @@ def _cmd_theorem(args) -> (Any, bool):
     return report.to_dict(), ok
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multsquares",
@@ -168,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repr", help="enumerate and count representations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_repr)
 
     p = sub.add_parser("exceptions", help="integers with no k-square representation")
@@ -186,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the candidate-set solver")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
                    help="max propagation steps (deterministic)")
     p.add_argument("--trace", action="store_true", help="include the full trace")
-    p.add_argument("--seed-cap", type=int, default=DEFAULT_SET_CAP,
+    p.add_argument("--seed-cap", type=_int_at_least(1), default=DEFAULT_SET_CAP,
                    help="candidate-set size cap")
-    p.add_argument("--rep-cap", type=int, default=DEFAULT_REP_CAP,
+    p.add_argument("--rep-cap", type=_int_at_least(0), default=DEFAULT_REP_CAP,
                    help="representations per target")
     p.set_defaults(func=_cmd_solve)
 
@@ -204,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--values", required=True,
                    help="JSON file mapping prime powers to exact values")
-    p.add_argument("--rep-cap", type=int, default=DEFAULT_REP_CAP)
+    p.add_argument("--rep-cap", type=_int_at_least(0), default=DEFAULT_REP_CAP)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("frobenius", help="Frobenius number and gaps of a pair")
@@ -215,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="run the full case verification")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, default=theorem.DEFAULT_BOUND)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_theorem)
 
     return parser

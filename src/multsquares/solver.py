@@ -236,7 +236,8 @@ class SolverState:
         self.trace: List[TraceStep] = []
         self._values: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
         self._squares: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
-        self._equations: List[_Equation] = []
+        # a retired equation's slot holds None, so ids stay list indices
+        self._equations: List[Optional[_Equation]] = []
         self._eq_keys: set = set()
         self._var_eqs: Dict[int, List[int]] = {}
         self._forms: Dict[int, List[Tuple[str, Poly]]] = {}
@@ -247,8 +248,6 @@ class SolverState:
         # two are the stall round's candidates.  Counts only fall.
         self._open: List[int] = []
         self._two_open: set = set()
-        # equations whose unknowns are all single values and that hold
-        self._settled: set = set()
         self._ops = 0
         self._resultants = 0
         self._elim_tried: set = set()
@@ -326,7 +325,7 @@ class SolverState:
         return True
 
     def _push(self, eq_id: int) -> None:
-        if eq_id not in self._in_pending and eq_id not in self._settled:
+        if eq_id not in self._in_pending and self._equations[eq_id] is not None:
             self._in_pending.add(eq_id)
             heapq.heappush(self._pending, eq_id)
 
@@ -352,7 +351,7 @@ class SolverState:
                 raise BudgetExceededError(self)
             eq = self._equations[eq_id]
             if self._open[eq_id] == 0 and self._holds_pinned(eq):
-                self._settled.add(eq_id)
+                self._equations[eq_id] = None  # retire: release its memory
                 continue
             for var in eq.vars:
                 self._narrow_var(eq, var)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import multsquares.constraints as constraints_module
 import multsquares.squares as squares_module
 import multsquares.theorem as theorem_module
@@ -184,6 +186,34 @@ def test_solver_bound_above_limit_exits_2(tmp_path, capsys, monkeypatch):
             assert code == 2, (command, k)
             assert out == ""
             assert "bound must be at most 10000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--budget", "-1"), "argument --budget: must be >= 0, got -1"),
+        (("theorem", "--budget", "-5"), "argument --budget: must be >= 0, got -5"),
+        (("solve", "--seed-cap", "0"), "argument --seed-cap: must be >= 1, got 0"),
+        (("solve", "--rep-cap", "-1"), "argument --rep-cap: must be >= 0, got -1"),
+        (("check", "--values", "f.json", "--rep-cap", "-1"),
+         "argument --rep-cap: must be >= 0, got -1"),
+        (("repr", "--n", "40", "--limit", "-1"),
+         "argument --limit: must be >= 0, got -1"),
+        (("repr", "--n", "40", "--limit", "x"),
+         "argument --limit: invalid int value: 'x'"),
+    ],
+    ids=["solve-budget", "theorem-budget", "seed-cap", "solve-rep-cap",
+         "check-rep-cap", "limit", "limit-not-int"],
+)
+def test_cap_out_of_range_exits_2(argv, message, capsys):
+    command, *rest = argv
+    bound = () if command == "repr" else ("--bound", "20")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--k", "5", *bound, *rest])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_json_roundtrip_byte_identical(capsys):

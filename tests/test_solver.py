@@ -1,8 +1,10 @@
 """Propagation engine: narrowing behavior, soundness, and determinism."""
 
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -235,7 +237,11 @@ def _rescan(state):
     """Open-unknown counts per equation and the stall round's pair groups,
     by a scan of every equation."""
     counts, groups = [], {}
-    for eq in state._equations:
+    for eq_id, eq in enumerate(state._equations):
+        if eq is None:  # retired: every unknown holds one value
+            assert state._open[eq_id] == 0
+            counts.append(0)
+            continue
         unresolved = [v for v in eq.vars if state._values.get(v) is None]
         counts.append(len(unresolved))
         if len(unresolved) == 2:
@@ -301,6 +307,48 @@ def test_settled_equation_retires(monkeypatch):
     state.propagate()
     assert narrowed == []
     assert state._ops == 1
+
+
+def test_retired_equations_are_released(monkeypatch):
+    added = []
+    original = SolverState._add_equation
+
+    def counting(state, *args, **kwargs):
+        ok = original(state, *args, **kwargs)
+        added.append(ok)
+        return ok
+
+    monkeypatch.setattr(SolverState, "_add_equation", counting)
+    state = replay_script(5).state
+    assert induction_sweep(state, 2, 1000) is None
+    assert len(state._equations) == sum(added)
+    retired = {i for i, eq in enumerate(state._equations) if eq is None}
+    assert retired
+    assert all(state._open[i] == 0 for i in retired)
+    assert not retired & (set(state._pending) | state._in_pending | state._two_open)
+    ops = state._ops
+    assert state.is_pinned(7)
+    state._touch(7)
+    state.propagate()
+    assert state._ops == ops
+
+
+def test_induction_live_memory_per_step():
+    # a settled equation is released, so what one induction step keeps is
+    # its trace steps, dedup keys and pairing forms: about 7 KB per n, where
+    # keeping every settled equation alive costs about 14 KB
+    state = replay_script(5).state
+    assert induction_sweep(state, 2, 500) is None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert induction_sweep(state, 501, 1000) is None
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / 500 < 10_000
 
 
 def test_pairing_needed_for_solve_k13():

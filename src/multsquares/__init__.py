@@ -33,7 +33,6 @@ from .solver import (
     check_function,
     induction_sweep,
     pin_by_induction,
-    propagate,
     solve,
 )
 from .squares import (

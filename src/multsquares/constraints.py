@@ -14,7 +14,7 @@ from math import gcd
 from typing import Dict, List, Tuple, Union
 
 from .arith import factorize
-from .squares import Representation, enumerate_representations
+from .squares import MAX_K, Representation, enumerate_representations
 from . import arith
 
 
@@ -61,8 +61,10 @@ class Multiplicative:
 
 Constraint = Union[SumOfSquares, Multiplicative]
 
-# The solver keeps every equation, key and trace step, so its memory grows
-# with the bound; this caps the bound of every solver entry point.
+# The solver releases each equation once it retires, but its dedup keys,
+# pairing forms and trace still grow with the bound, and `solve` loads the
+# whole generated corpus before anything retires; this caps the bound of
+# every solver entry point.
 MAX_SOLVER_BOUND = 10**4
 
 
@@ -76,6 +78,8 @@ def generate_constraints(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     if bound < k:
         raise ValueError("bound must be >= k")
     if bound > MAX_SOLVER_BOUND:

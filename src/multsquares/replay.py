@@ -15,14 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
 from .gaussian import ONE, ZERO, GaussianRational, gauss
-from .solver import (
-    DEFAULT_BUDGET,
-    DEFAULT_SET_CAP,
-    SolverState,
-    TraceStep,
-    induction_sweep,
-)
-from .squares import enumerate_representations, is_dubouis_exception
+from .solver import DEFAULT_BUDGET, SolverState, TraceStep, induction_sweep
+from .squares import MAX_K, enumerate_representations, is_dubouis_exception
 
 
 class ReplayMismatchError(AssertionError):
@@ -86,6 +80,7 @@ class ReplayStage:
     expects: Tuple[Expectation, ...] = ()
     induction_range: Optional[Tuple[int, int]] = None
     joint_pair_check: bool = False  # the k >= 8 two-equation system check
+    displayed: bool = False  # its sums of squares are displayed in the paper
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,7 @@ def _stages_k4() -> List[ReplayStage]:
             "chain-12",
             (_sos(12, 3, 1, 1, 1), Multiplicative(12, 3, 4)),
             (Expectation(3, _vset(1, 3)),),
+            displayed=True,
         ),
         ReplayStage(
             "chain-20-28",
@@ -138,6 +134,7 @@ def _stages_k4() -> List[ReplayStage]:
                 Multiplicative(28, 4, 7),
             ),
             (Expectation(5, _vset(1, 5)), Expectation(7, _vset(1, 7))),
+            displayed=True,
         ),
         ReplayStage(
             "chain-35",
@@ -147,16 +144,19 @@ def _stages_k4() -> List[ReplayStage]:
                 Expectation(5, _vset(5)),
                 Expectation(7, _vset(7)),
             ),
+            displayed=True,
         ),
         ReplayStage(
             "chain-10-7",
             (_sos(10, 2, 2, 1, 1), Multiplicative(10, 2, 5), _sos(7, 2, 1, 1, 1)),
             (Expectation(2, _vset(2)),),
+            displayed=True,
         ),
         ReplayStage(
             "chain-18",
             (_sos(18, 3, 2, 2, 1), Multiplicative(18, 2, 9)),
             (Expectation(9, _vset(9)),),
+            displayed=True,
         ),
         ReplayStage(
             "remaining-odd-exceptions",
@@ -220,6 +220,7 @@ def _stages_k5() -> List[ReplayStage]:
                 Multiplicative(20, 4, 5),
             ),
             (Expectation(4, _vset(1, 4)),),
+            displayed=True,
         ),
         ReplayStage(
             "chain-29",
@@ -234,6 +235,7 @@ def _stages_k5() -> List[ReplayStage]:
                 Expectation(3, _pm(3)),
                 Expectation(4, _vset(4)),
             ),
+            displayed=True,
         ),
         ReplayStage(
             "sign-resolution",
@@ -285,6 +287,7 @@ def _stages_k6() -> List[ReplayStage]:
                 Expectation(4, _pm(4)),
                 Expectation(5, _vset(5)),
             ),
+            displayed=True,
         ),
         ReplayStage(
             "sign-resolution",
@@ -324,6 +327,7 @@ def _stages_k7() -> List[ReplayStage]:
             "chain-55",
             (_sos(55, 7, 1, 1, 1, 1, 1, 1), _sos(55, 5, 5, 1, 1, 1, 1, 1)),
             (Expectation(55, _vset(55)), Expectation(5, _pm(5))),
+            displayed=True,
         ),
         ReplayStage(
             "block-31-42",
@@ -344,6 +348,7 @@ def _stages_k7() -> List[ReplayStage]:
                 Expectation(4, _pm(4)),
                 Expectation(5, _pm(5)),
             ),
+            displayed=True,
         ),
         ReplayStage(
             "sign-resolution",
@@ -585,29 +590,41 @@ def _joint_pair_solutions(state: SolverState) -> set:
     return {(a, b) for a in cand2 for b in cand3 if double_representations_hold(a, b)}
 
 
-def replay_script(
-    k: int,
-    *,
-    set_cap: int = DEFAULT_SET_CAP,
-    budget: int = DEFAULT_BUDGET,
-) -> ReplayResult:
-    """Run the scripted deduction for k, asserting every claimed intermediate."""
+def _stages(k: int) -> List[ReplayStage]:
+    """The replay script of case k."""
     if k < 4:
         raise ValueError("replay scripts exist for k >= 4")
     if k == 4:
-        stages = _stages_k4()
-    elif k == 5:
-        stages = _stages_k5()
-    elif k == 6:
-        stages = _stages_k6()
-    elif k == 7:
-        stages = _stages_k7()
-    else:
-        stages = _stages_general(k)
+        return _stages_k4()
+    if k == 5:
+        return _stages_k5()
+    if k == 6:
+        return _stages_k6()
+    if k == 7:
+        return _stages_k7()
+    return _stages_general(k)
+
+
+def displayed_identities(k: int) -> List[SumOfSquares]:
+    """The sums of squares the paper displays for case k, in script order:
+    those of the stages marked displayed (none for k >= 8)."""
+    return [
+        c
+        for stage in _stages(k)
+        if stage.displayed
+        for c in stage.constraints
+        if isinstance(c, SumOfSquares)
+    ]
+
+
+def replay_script(k: int, *, budget: int = DEFAULT_BUDGET) -> ReplayResult:
+    """Run the scripted deduction for k, asserting every claimed intermediate."""
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     bound = max(4 * k, 60)
-    state = SolverState(k, bound, set_cap=set_cap, budget=budget)
+    state = SolverState(k, bound, budget=budget)
     outcomes = []
-    for stage in stages:
+    for stage in _stages(k):
         before = len(state.trace)
         if stage.constraints:
             state.add_constraints(stage.constraints)

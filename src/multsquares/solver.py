@@ -725,11 +725,6 @@ class SolverReport:
         }
 
 
-def propagate(state: SolverState) -> SolverState:
-    """Public alias: run the state's propagation to its fixed point."""
-    return state.propagate()
-
-
 def pin_by_induction(state: SolverState, n: int) -> SolverState:
     """Inject the n(n-1) step for one n and propagate.
 
@@ -775,14 +770,12 @@ def solve(
     rep_cap: int = DEFAULT_REP_CAP,
     set_cap: int = DEFAULT_SET_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
-    induction: bool = True,
 ) -> SolverReport:
     """Generate constraints up to bound, propagate, and sweep the induction."""
     state = SolverState(k, bound, set_cap=set_cap, pair_cap=pair_cap, budget=budget)
     state.add_constraints(generate_constraints(k, bound, rep_cap))
     state.propagate()
-    if induction:
-        induction_sweep(state, 2, bound)
+    induction_sweep(state, 2, bound)
     return state.report()
 
 

@@ -13,6 +13,11 @@ from typing import Iterator, List, Optional, Tuple
 # grow with the bound
 MAX_DP_BOUND = 10**6
 
+# largest k the replay and the constraint generator accept;
+# iter_representations recurses once per part, so a k near Python's
+# recursion limit would end in RecursionError
+MAX_K = 500
+
 
 class UnsupportedKError(ValueError):
     """The closed-form exceptional sets are only defined for k >= 4."""

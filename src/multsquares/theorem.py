@@ -26,12 +26,12 @@ from .replay import (
     ParametricIdentity,
     ReplayMismatchError,
     construction,
+    displayed_identities,
     double_representations_hold,
-    format_candidates,
     pad,
     replay_script,
 )
-from .solver import DEFAULT_BUDGET, SolverState, induction_sweep, solve
+from .solver import DEFAULT_BUDGET, induction_sweep, solve
 from .squares import Representation, UnsupportedKError, enumerate_representations
 
 DEFAULT_BOUND = 300
@@ -105,108 +105,57 @@ def check_parametric(identity: ParametricIdentity, l_max: int) -> CaseReport:
     )
 
 
-def _displayed(k: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """The representations behind each displayed identity, per case."""
-    table = {
-        4: [
-            (12, (3, 1, 1, 1)),
-            (20, (3, 3, 1, 1)),
-            (28, (3, 3, 3, 1)),
-            (35, (4, 3, 3, 1)),
-            (10, (2, 2, 1, 1)),
-            (7, (2, 1, 1, 1)),
-            (18, (3, 2, 2, 1)),
-        ],
-        5: [
-            (20, (4, 1, 1, 1, 1)),
-            (20, (2, 2, 2, 2, 2)),
-            (29, (5, 1, 1, 1, 1)),
-            (29, (3, 3, 3, 1, 1)),
-            (29, (4, 2, 2, 2, 1)),
-        ],
-        6: [
-            (30, (5, 1, 1, 1, 1, 1)),
-            (30, (3, 3, 3, 1, 1, 1)),
-            (30, (4, 2, 2, 2, 1, 1)),
-            (41, (6, 1, 1, 1, 1, 1)),
-            (41, (5, 3, 2, 1, 1, 1)),
-            (21, (4, 1, 1, 1, 1, 1)),
-            (21, (2, 2, 2, 2, 2, 1)),
-        ],
-        7: [
-            (31, (3, 3, 3, 1, 1, 1, 1)),
-            (31, (4, 2, 2, 2, 1, 1, 1)),
-            (31, (5, 1, 1, 1, 1, 1, 1)),
-            (42, (6, 1, 1, 1, 1, 1, 1)),
-            (42, (4, 3, 2, 2, 2, 2, 1)),
-            (42, (5, 3, 2, 1, 1, 1, 1)),
-            (55, (7, 1, 1, 1, 1, 1, 1)),
-            (55, (5, 5, 1, 1, 1, 1, 1)),
-        ],
-    }
-    return table[k]
+def _check_displayed(k: int) -> Tuple[List[CheckResult], Tuple[str, ...]]:
+    """A check per sum of squares the paper displays for k, and the manifest
+    of their targets.  They are read from the replay script, where each
+    SumOfSquares checked its sum when it was built (a wrong one raises
+    ValueError there)."""
+    shown = displayed_identities(k)
+    checks = [CheckResult(f"displayed:{c.target}:{c.parts}", True) for c in shown]
+    return checks, tuple(f"target:{c.target}" for c in shown)
 
 
-def _check_displayed(k: int) -> List[CheckResult]:
-    out = []
-    for target, parts in _displayed(k):
-        try:
-            Representation(target, parts)
-            out.append(CheckResult(f"displayed:{target}:{parts}", True))
-        except ValueError as exc:
-            out.append(CheckResult(f"displayed:{target}:{parts}", False, str(exc)))
-    return out
-
-
-def _check_pinned(state: SolverState, bound: int) -> CheckResult:
-    missing = [n for n in range(1, bound + 1) if not state.is_pinned(n)]
-    return CheckResult(
-        f"pinned-to-{bound}",
-        not missing,
-        "" if not missing else f"unpinned: {missing[:10]}",
-    )
-
-
-def _replay_and_sweep(
-    k: int, bound: int, budget: int
-) -> Tuple[CheckResult, Optional[SolverState], Optional[Tuple[int, str]]]:
-    """The route of every case k >= 4: the scripted replay, then the n(n-1)
-    induction on its state up to bound.
-
-    Returns the replay check, the state (None when the replay mismatched)
-    and the induction's first failure (n, reason), or None.
-    """
+def _proof_route(
+    case: str,
+    k: int,
+    checks: List[CheckResult],
+    manifest: Tuple[str, ...],
+    bound: int,
+    budget: int,
+) -> CaseReport:
+    """The tail every case k >= 4 shares after its own identity checks: the
+    scripted replay, the n(n-1) induction on its state up to bound, and
+    f(n) = n pinned for every n up to bound.  A replay mismatch ends the
+    route at the failed replay check."""
     try:
         state = replay_script(k, budget=budget).state
     except ReplayMismatchError as exc:
-        return CheckResult("replay", False, str(exc)), None, None
-    failure = induction_sweep(state, 2, bound)
-    return CheckResult("replay", True, "all stage claims match"), state, failure
-
-
-def _manifest(k: int) -> Tuple[str, ...]:
-    return tuple(f"target:{t}" for t, _ in _displayed(k))
+        checks.append(CheckResult("replay", False, str(exc)))
+    else:
+        failure = induction_sweep(state, 2, bound)
+        missing = [n for n in range(1, bound + 1) if not state.is_pinned(n)]
+        checks += [
+            CheckResult("replay", True, "all stage claims match"),
+            CheckResult(
+                "induction",
+                failure is None,
+                "" if failure is None else f"at n={failure[0]}: {failure[1]}",
+            ),
+            CheckResult(
+                f"pinned-to-{bound}",
+                not missing,
+                "" if not missing else f"unpinned: {missing[:10]}",
+            ),
+        ]
+    return CaseReport(case, k, tuple(checks), manifest, True)
 
 
 def verify_case_k4(
     max_m: int, bound: int = 100, budget: int = DEFAULT_BUDGET
 ) -> CaseReport:
-    """Checks for k = 4: displayed identities, the four odd exceptions above
-    9 pinned by the replay, the 4^m doubling step witnesses, then the n(n-1)
-    induction on the replay's state up to bound."""
-    checks = _check_displayed(4)
-    replay, state, _ = _replay_and_sweep(4, bound, budget)
-    if state is None:
-        checks.append(replay)
-        return CaseReport("four-squares", 4, tuple(checks), _manifest(4), True)
-    for n in (11, 17, 29, 41):
-        checks.append(
-            CheckResult(
-                f"exception-pinned:{n}",
-                state.is_pinned(n),
-                f"candidates {format_candidates(state.candidates(n))}",
-            )
-        )
+    """Checks for k = 4: displayed identities and the 4^m doubling step
+    witnesses, then the shared proof route."""
+    checks, manifest = _check_displayed(4)
     if max_m < 1:
         checks.append(
             CheckResult("doubling-witnesses", True, "vacuous: max_m < 1")
@@ -227,28 +176,16 @@ def verify_case_k4(
                 + ("" if not bad else f"; failed at {bad}"),
             )
         )
-    checks.append(_check_pinned(state, bound))
-    return CaseReport("four-squares", 4, tuple(checks), _manifest(4), True)
+    return _proof_route("four-squares", 4, checks, manifest, bound, budget)
 
 
 def verify_case_k(k: int, bound: int, budget: int = DEFAULT_BUDGET) -> CaseReport:
-    """Checks for k in {5, 6, 7}: displayed identities, scripted replay,
-    then the n(n-1) induction up to bound."""
+    """Checks for k in {5, 6, 7}: displayed identities, then the shared
+    proof route."""
     if k not in (5, 6, 7):
         raise UnsupportedKError("this case verifier handles k in {5, 6, 7}")
-    checks = _check_displayed(k)
-    replay, state, failure = _replay_and_sweep(k, bound, budget)
-    checks.append(replay)
-    if state is not None:
-        checks.append(
-            CheckResult(
-                "induction",
-                failure is None,
-                "" if failure is None else f"at n={failure[0]}: {failure[1]}",
-            )
-        )
-        checks.append(_check_pinned(state, bound))
-    return CaseReport(f"{k}-squares", k, tuple(checks), _manifest(k), True)
+    checks, manifest = _check_displayed(k)
+    return _proof_route(f"{k}-squares", k, checks, manifest, bound, budget)
 
 
 def _two_equation_solutions() -> set:
@@ -279,8 +216,8 @@ def verify_case_general(
 ) -> CaseReport:
     """Checks for k >= 8: padded double representations, the exact
     two-equation sign system, the semigroup construction, the small
-    identity table, the parametric families, then the scripted replay and
-    the n(n-1) induction on its state up to bound."""
+    identity table, the parametric families, then the shared proof
+    route."""
     if k < 8:
         raise UnsupportedKError("general case requires k >= 8")
     checks: List[CheckResult] = []
@@ -363,25 +300,15 @@ def verify_case_general(
             )
         )
 
-    # (g) the replay, and the induction on its state, pin everything to bound
-    replay, state, _ = _replay_and_sweep(k, bound, budget)
-    checks.append(replay)
-    if state is not None:
-        checks.append(_check_pinned(state, bound))
-    return CaseReport(
-        case="general",
-        k=k,
-        checks=tuple(checks),
-        manifest=(
-            "target:40",
-            "target:32",
-            "target:k^2+k-1",
-            "small-identity-table",
-            "parametric-odd",
-            "parametric-even",
-        ),
-        verdict=True,
+    manifest = (
+        "target:40",
+        "target:32",
+        "target:k^2+k-1",
+        "small-identity-table",
+        "parametric-odd",
+        "parametric-even",
     )
+    return _proof_route("general", k, checks, manifest, bound, budget)
 
 
 def theorem_check(

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import multsquares.constraints as constraints_module
+import multsquares.replay as replay_module
 import multsquares.squares as squares_module
 import multsquares.theorem as theorem_module
 from multsquares.cli import main
@@ -186,6 +187,26 @@ def test_solver_bound_above_limit_exits_2(tmp_path, capsys, monkeypatch):
             assert code == 2, (command, k)
             assert out == ""
             assert "bound must be at most 10000" in err
+
+
+def test_k_above_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replay or the constraint enumeration started")
+
+    monkeypatch.setattr(constraints_module, "enumerate_representations", refuse)
+    monkeypatch.setattr(replay_module, "_stages", refuse)
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"2": "2"}), encoding="utf-8")
+    for argv in (
+        ("solve", "--k", "501", "--bound", "600"),
+        ("check", "--k", "501", "--bound", "600", "--values", str(path)),
+        ("replay", "--k", "501"),
+        ("theorem", "--k", "501", "--bound", "5"),
+    ):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert "k must be at most 500" in err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 import multsquares.theorem as theorem_module
 from multsquares.arith import represent_in_semigroup
 from multsquares.gaussian import gauss
+from multsquares.replay import ReplayMismatchError
 from multsquares.theorem import (
     EVEN_STEP,
     ODD_STEP,
@@ -65,9 +66,19 @@ def test_two_equation_solutions_exact():
 def test_verify_case_k4():
     report = verify_case_k4(3)
     assert report.all_passed, failed_checks(report)
-    names = [c.name for c in report.checks]
-    assert "doubling-witnesses" in names
-    assert any(n.startswith("displayed:35") for n in names)
+    displayed = [
+        (12, (3, 1, 1, 1)),
+        (20, (3, 3, 1, 1)),
+        (28, (3, 3, 3, 1)),
+        (35, (4, 3, 3, 1)),
+        (10, (2, 2, 1, 1)),
+        (7, (2, 1, 1, 1)),
+        (18, (3, 2, 2, 1)),
+    ]
+    assert [c.name for c in report.checks] == [
+        f"displayed:{t}:{parts}" for t, parts in displayed
+    ] + ["doubling-witnesses", "replay", "induction", "pinned-to-100"]
+    assert report.manifest == tuple(f"target:{t}" for t, _ in displayed)
 
 
 def test_verify_case_k4_vacuous_doubling():
@@ -125,6 +136,42 @@ def test_theorem_check_small_bound(monkeypatch):
         report = theorem_check(k, bound)
         assert report.all_passed, (k, bound, failed_checks(report))
         assert report.checks[-1].name == f"pinned-to-{bound}"
+
+
+def test_every_case_reports_one_route():
+    for k in (4, 5, 6, 7, 8, 9, 10, 13):
+        report = theorem_check(k, 60)
+        assert report.all_passed, (k, failed_checks(report))
+        assert [c.name for c in report.checks[-3:]] == [
+            "replay",
+            "induction",
+            "pinned-to-60",
+        ], k
+
+
+def test_induction_failure_reason_reported(monkeypatch):
+    monkeypatch.setattr(
+        theorem_module, "induction_sweep", lambda state, lo, hi: (7, "stub")
+    )
+    for k in (4, 5, 8):
+        report = theorem_check(k, 60)
+        induction = next(c for c in report.checks if c.name == "induction")
+        assert not induction.passed, k
+        assert induction.detail == "at n=7: stub", k
+        assert report.all_passed is False
+
+
+def test_replay_mismatch_ends_the_route(monkeypatch):
+    def mismatch(k, budget):
+        raise ReplayMismatchError("stub", 2, "{2}", "{-2,2}")
+
+    monkeypatch.setattr(theorem_module, "replay_script", mismatch)
+    for k in (4, 5, 8):
+        report = theorem_check(k, 60)
+        last = report.checks[-1]
+        assert (last.name, last.passed) == ("replay", False), k
+        assert "stage 'stub'" in last.detail
+        assert not any(c.name == "induction" for c in report.checks)
 
 
 def test_case_report_serialization():

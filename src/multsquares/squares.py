@@ -3,9 +3,8 @@ and the exceptional sets of integers that have none."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator, List, Optional, Tuple
 
 
@@ -13,10 +12,14 @@ from typing import Iterator, List, Optional, Tuple
 # grow with the bound
 MAX_DP_BOUND = 10**6
 
-# largest k the replay and the constraint generator accept;
-# iter_representations recurses once per part, so a k near Python's
-# recursion limit would end in RecursionError
+# largest k that enumeration, the replay and the constraint generator
+# accept; iter_representations is the one search that still recurses once
+# per part, so a k near Python's recursion limit would end in RecursionError
 MAX_K = 500
+
+# largest count table, in coefficients (max n + 1) * (max k + 1); its build
+# time grows with the table, to a few seconds at this size
+MAX_COUNT_TABLE = 1_500_000
 
 
 class UnsupportedKError(ValueError):
@@ -74,10 +77,12 @@ class ExceptionalSetReport:
         return self.computed == self.closed_form
 
 
-# Shared memo tables, guarded for concurrent use.  Workers that want private
-# tables can simply call the underlying recursions with their own dicts; the
-# results are identical either way because every query is a pure function.
-_memo_lock = threading.Lock()
+# Every cache of this layer lives in these two dicts, so clearing them makes
+# the layer cold again.  _exists_memo maps (n, k, mx) to whether n is a sum of
+# k squares with every part at most mx; _count_memo holds the one count table
+# under "table".  Queries are pure and each write is a single dict
+# assignment, so concurrent callers need no lock and get the same answers in
+# any order.
 _exists_memo: dict = {}
 _count_memo: dict = {}
 
@@ -107,6 +112,8 @@ def enumerate_representations(
     n: int, k: int, limit: Optional[int] = None, max_part: Optional[int] = None
 ) -> Enumeration:
     """Collect representations; complete unless more than `limit` exist."""
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     reps: List[Representation] = []
     truncated = False
     for parts in iter_representations(n, k, max_part):
@@ -117,54 +124,84 @@ def enumerate_representations(
     return Enumeration(n, k, tuple(reps), truncated)
 
 
+def _settle(n: int, k: int, mx: int):
+    """Answer _exists(n, k, mx) without a search when possible: (answer,
+    None), or (None, key) when the memo key still has to be searched."""
+    if n < k or k < 1:
+        return False, None
+    mx = min(mx, isqrt(n - (k - 1)))
+    if mx < 1:
+        return False, None
+    if k == 1:
+        return mx * mx == n, None
+    key = (n, k, mx)
+    hit = _exists_memo.get(key)
+    if hit is not None:
+        return hit, None
+    if mx == 1:  # k parts of 1
+        _exists_memo[key] = n == k
+        return n == k, None
+    return None, key
+
+
 def _exists(n: int, k: int, mx: int) -> bool:
-    if n < k or k < 1:
-        return False
-    mx = min(mx, isqrt(n - (k - 1)))
-    if mx < 1:
-        return False
-    if k == 1:
-        r = isqrt(n)
-        return r * r == n and r <= mx
-    key = (n, k, mx)
-    with _memo_lock:
-        hit = _exists_memo.get(key)
-    if hit is not None:
-        return hit
-    result = False
-    for x in range(mx, 0, -1):
-        if k * x * x < n:
-            break
-        if _exists(n - x * x, k - 1, x):
-            result = True
-            break
-    with _memo_lock:
-        _exists_memo[key] = result
-    return result
+    """True iff n is a sum of k positive squares with every part at most mx.
+
+    Depth-first, largest part first, on an explicit stack whose frames are
+    [memo key, next part to try], so k is not bounded by the recursion
+    limit.  Each searched key is memoised when its frame closes."""
+    found, key = _settle(n, k, mx)
+    stack: List[list] = []
+    while key is not None or stack:
+        if key is not None:
+            stack.append([key, key[2]])
+        elif found:
+            _exists_memo[stack.pop()[0]] = True
+            continue
+        frame = stack[-1]
+        (n, k, _), x = frame
+        if x < 1 or k * x * x < n:
+            _exists_memo[stack.pop()[0]] = False
+            found, key = False, None
+        else:
+            frame[1] = x - 1
+            found, key = _settle(n - x * x, k - 1, x)
+    return found
 
 
-def _count(n: int, k: int, mx: int) -> int:
-    if n < k or k < 1:
-        return 0
-    mx = min(mx, isqrt(n - (k - 1)))
-    if mx < 1:
-        return 0
-    if k == 1:
-        r = isqrt(n)
-        return 1 if r * r == n and r <= mx else 0
-    key = (n, k, mx)
-    with _memo_lock:
-        hit = _count_memo.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for x in range(mx, 0, -1):
-        if k * x * x < n:
-            break
-        total += _count(n - x * x, k - 1, x)
-    with _memo_lock:
-        _count_memo[key] = total
-    return total
+def _build_count_table(n: int, k: int) -> tuple:
+    """Coin change over the squares 1, 4, 9, ... in increasing order: polys[j]
+    holds, as coefficient t, the number of multisets of j squares summing to
+    t <= n, packed `width` bits per coefficient into one int.  No count
+    exceeds C(isqrt(n) + k - 1, k), the number of k-multisets of the usable
+    squares, so no carry crosses a field."""
+    width = comb(isqrt(n) + k - 1, k).bit_length()
+    polys = [1] + [0] * k
+    for x in range(1, isqrt(n) + 1):
+        shift = x * x * width
+        # only the terms that stay at t <= n after the shift
+        keep = (1 << ((n + 1) * width - shift)) - 1
+        for j in range(1, k + 1):
+            polys[j] += (polys[j - 1] & keep) << shift
+    return n, k, width, polys
+
+
+def _count_table(n: int, k: int) -> tuple:
+    """The cached table if it covers (n, k); else the union of the two when
+    that fits MAX_COUNT_TABLE, else the query's own table.  A union at least
+    doubles the cached n, so a run of rising n rebuilds O(log n) times."""
+    table = _count_memo.get("table")
+    if table is not None:
+        have_n, have_k = table[:2]
+        if n <= have_n and k <= have_k:
+            return table
+        union = (max(n, 2 * have_n) if n > have_n else have_n), max(k, have_k)
+        if (union[0] + 1) * (union[1] + 1) <= MAX_COUNT_TABLE:
+            n, k = union
+    if (n + 1) * (k + 1) > MAX_COUNT_TABLE:
+        raise ValueError(f"(n + 1) * (k + 1) must be at most {MAX_COUNT_TABLE}")
+    table = _count_memo["table"] = _build_count_table(n, k)
+    return table
 
 
 def is_representable(n: int, k: int) -> bool:
@@ -175,10 +212,16 @@ def is_representable(n: int, k: int) -> bool:
 
 
 def count_representations(n: int, k: int) -> int:
-    """Number of canonical representations of n into k positive squares."""
+    """Number of canonical representations of n into k positive squares.
+    Read from a count table capped at MAX_COUNT_TABLE coefficients."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    return _count(n, k, isqrt(n))
+    if n < k:
+        return 0
+    if k == 1:
+        return int(isqrt(n) ** 2 == n)
+    _, _, width, polys = _count_table(n, k)
+    return (polys[k] >> (n * width)) & ((1 << width) - 1)
 
 
 _K4_ODD = frozenset({1, 3, 5, 9, 11, 17, 29, 41})
@@ -228,8 +271,13 @@ def exceptional_set(k: int, bound: int) -> List[int]:
         raise ValueError("k and bound must be positive")
     if bound > MAX_DP_BOUND:
         raise ValueError(f"bound must be at most {MAX_DP_BOUND}")
-    mask = _representable_mask(k, bound)
-    return [n for n in range(1, bound + 1) if not (mask >> n) & 1]
+    bits = format(_representable_mask(k, bound), f"0{bound + 1}b")[::-1]
+    out = []
+    n = bits.find("0", 1)
+    while n != -1:
+        out.append(n)
+        n = bits.find("0", n + 1)
+    return out
 
 
 def verify_dubouis(k: int, bound: int) -> ExceptionalSetReport:

@@ -166,6 +166,24 @@ def test_dp_bound_above_limit_exits_2(capsys, monkeypatch):
         assert "bound must be at most 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        ("5000", "1500", "k must be at most 500"),
+        ("1000000", "2", "(n + 1) * (k + 1) must be at most 1500000"),
+    ],
+)
+def test_repr_above_limits_exits_2(n, k, message, capsys, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("the count table must not be built")
+
+    monkeypatch.setattr(squares_module, "_build_count_table", refuse)
+    code, out, err = run_cli("repr", "--n", n, "--k", k, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_solver_bound_above_limit_exits_2(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the solver must not start")

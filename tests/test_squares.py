@@ -1,7 +1,10 @@
 """Representation decision, enumeration, counting, and exceptional sets."""
 
+import random
+
 import pytest
 
+from multsquares import squares
 from multsquares.squares import (
     Representation,
     UnsupportedKError,
@@ -100,6 +103,50 @@ def test_oracle_equivalence_small():
             assert len(listed) == expected
 
 
+def test_count_table_matches_oracle_for_larger_k():
+    for n in range(1, 151):
+        for k in range(7, 14):
+            assert count_representations(n, k) == brute_count(n, k), (n, k)
+
+
+def test_count_table_warm_equals_cold():
+    queries = [
+        (60000, 3), (1500, 40), (8000, 3), (300, 150), (40, 30), (1999, 12),
+        (7000, 5), (5, 5), (1500, 40), (60000, 3), (777, 2), (64, 1),
+    ]
+    random.Random(7).shuffle(queries)
+    squares._count_memo.clear()
+    warm = [count_representations(n, k) for n, k in queries]
+    cold = []
+    for n, k in queries:
+        squares._count_memo.clear()
+        cold.append(count_representations(n, k))
+    assert warm == cold
+
+
+def test_count_table_limit():
+    with pytest.raises(ValueError, match="must be at most 1500000"):
+        count_representations(10**6, 2)
+    assert count_representations(10**12, 1) == 1
+    assert count_representations(3, 1500) == 0
+
+
+def test_memos_are_module_dicts_filled_by_queries():
+    squares._exists_memo.clear()
+    squares._count_memo.clear()
+    assert is_representable(300, 7)
+    count_representations(300, 7)
+    assert isinstance(squares._exists_memo, dict) and squares._exists_memo
+    assert isinstance(squares._count_memo, dict) and squares._count_memo
+
+
+def test_large_k_is_decided_without_recursion():
+    assert is_representable(5000, 1500)
+    assert not is_representable(1502, 1500)
+    with pytest.raises(ValueError, match="k must be at most 500"):
+        enumerate_representations(5000, 1500)
+
+
 def test_monotone_padding_property():
     for n in range(1, 501):
         for k in range(1, 11):
@@ -141,9 +188,9 @@ def test_exceptional_set_bound_limit():
 
 
 def test_exceptional_set_matches_pointwise_decision():
-    for k in (1, 2, 4, 6):
-        members = set(exceptional_set(k, 200))
-        for n in range(1, 201):
+    for k in (1, 2, 3, 4, 6):
+        members = set(exceptional_set(k, 2000))
+        for n in range(1, 2001):
             assert (n in members) == (not is_representable(n, k)), (n, k)
 
 
@@ -179,3 +226,36 @@ def test_concurrent_queries_share_the_memo_safely():
         t.join()
     assert all(r == results[0] for r in results)
     assert results[0][0][0] == count_representations(150, 5)
+
+
+def test_concurrent_table_growth_gives_serial_answers():
+    import sys
+    import threading
+
+    queries = [(n, k) for n in (90, 400, 1200, 2500) for k in (2, 5, 9, 17)]
+    serial = {}
+    for n, k in queries:
+        squares._count_memo.clear()
+        serial[n, k] = (count_representations(n, k), is_representable(n, k))
+    squares._count_memo.clear()
+    squares._exists_memo.clear()
+    results = [None] * 6
+
+    def worker(slot):
+        order = list(queries)
+        random.Random(slot).shuffle(order)
+        results[slot] = {(n, k): (count_representations(n, k), is_representable(n, k))
+                         for n, k in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == serial for r in results)

@@ -590,18 +590,22 @@ def _joint_pair_solutions(state: SolverState) -> set:
     return {(a, b) for a in cand2 for b in cand3 if double_representations_hold(a, b)}
 
 
-def _stages(k: int) -> List[ReplayStage]:
+# the scripts of k = 4..7 depend on nothing else, so each is built once, at
+# import, and shared by every replay_script and displayed_identities call
+_FIXED_SCRIPTS = {
+    4: tuple(_stages_k4()),
+    5: tuple(_stages_k5()),
+    6: tuple(_stages_k6()),
+    7: tuple(_stages_k7()),
+}
+
+
+def _stages(k: int) -> Sequence[ReplayStage]:
     """The replay script of case k."""
     if k < 4:
         raise ValueError("replay scripts exist for k >= 4")
-    if k == 4:
-        return _stages_k4()
-    if k == 5:
-        return _stages_k5()
-    if k == 6:
-        return _stages_k6()
-    if k == 7:
-        return _stages_k7()
+    if k in _FIXED_SCRIPTS:
+        return _FIXED_SCRIPTS[k]
     return _stages_general(k)
 
 

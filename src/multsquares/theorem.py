@@ -1,19 +1,25 @@
 """End-to-end verification that the functional equation forces the identity.
 
 For each k >= 4 the checker validates every displayed identity behind the
-deduction (with exact algebra for the k >= 8 constructions), replays the
-scripted chain, runs the n(n-1) induction on the replay's state, and
-confirms that f(n) = n is pinned for every n up to a bound.
+deduction (with exact algebra for the k >= 8 constructions) and replays the
+scripted chain.  The replay's pinned set S, the arguments it shows have
+f(s) = s, is the trust base of the rest: an induction certificate extends S
+to every n up to a bound, one witness per n, by the lemma checked in
+multsquares.certificate (m in S coprime to n and n*m a sum of k squares of
+members of S give f(n) = n).  A witness search finds each step and
+certificate.check_step confirms it in integer arithmetic.  No solver runs
+after the replay, so the propagation budget bounds the replay only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import List, Optional, Tuple
+from math import gcd, isqrt
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .arith import NonRepresentableError, represent_in_semigroup
+from .certificate import check_step
 from .constraints import MAX_SOLVER_BOUND, Multiplicative
 from .gaussian import gauss
 from .replay import (
@@ -25,13 +31,14 @@ from .replay import (
     SMALL_PRODUCTS,
     ParametricIdentity,
     ReplayMismatchError,
+    ReplayResult,
     construction,
     displayed_identities,
     double_representations_hold,
     pad,
     replay_script,
 )
-from .solver import DEFAULT_BUDGET, induction_sweep, solve
+from .solver import DEFAULT_BUDGET, solve
 from .squares import Representation, UnsupportedKError, enumerate_representations
 
 DEFAULT_BOUND = 300
@@ -115,6 +122,152 @@ def _check_displayed(k: int) -> Tuple[List[CheckResult], Tuple[str, ...]]:
     return checks, tuple(f"target:{c.target}" for c in shown)
 
 
+# search nodes the coprime fallback may visit for one n, over every m it tries
+FALLBACK_NODES = 10_000
+
+# failed m a NoWitnessError lists before it only counts the rest
+SHOWN_ATTEMPTS = 6
+
+
+class NoWitnessError(Exception):
+    """No certificate step was found for n; the message names each m tried
+    and why it failed."""
+
+
+class PinnedSet:
+    """The arguments s known to have f(s) = s, and the largest p with all of
+    1..p among them, kept current as members are added."""
+
+    def __init__(self, members: Iterable[int]):
+        self._members = set(members)
+        self.prefix = 0
+        self._advance()
+
+    def __contains__(self, n: object) -> bool:
+        return n in self._members
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._members)
+
+    def add(self, n: int) -> None:
+        self._members.add(n)
+        self._advance()
+
+    def _advance(self) -> None:
+        while self.prefix + 1 in self._members:
+            self.prefix += 1
+
+
+def _replay_pinned(replayed: ReplayResult) -> PinnedSet:
+    """The replay's pinned set: 1, and every variable a narrowing step of
+    its trace touched that ended pinned (no other variable can be)."""
+    state = replayed.state
+    return PinnedSet(
+        {1} | {s.variable for s in replayed.steps if state.is_pinned(s.variable)}
+    )
+
+
+def _excess_parts(
+    excess: int, terms: int, pinned: PinnedSet, nodes: int
+) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """At most `terms` pinned x >= 2, non-increasing, whose x^2 - 1 sum to
+    excess (None if none is found), and what is left of the `nodes` the
+    search may visit, one per frame.  Depth-first, largest x first, on an
+    explicit stack whose frames are [next index into xs, excess left, terms
+    left]."""
+    if nodes == 0:
+        return None, 0
+    xs = [x for x in range(isqrt(excess + 1), 1, -1) if x in pinned]
+    cost = [x * x - 1 for x in xs]
+    chosen: List[int] = []
+    frames = [[0, excess, terms]]
+    nodes -= 1
+    while frames:
+        frame = frames[-1]
+        j, left, room = frame
+        if left == 0:
+            return tuple(xs[i] for i in chosen), nodes
+        while j < len(xs) and cost[j] > left:
+            j += 1
+        if j == len(xs) or room * cost[j] < left:
+            frames.pop()
+            if chosen:
+                chosen.pop()
+        elif nodes == 0:
+            break
+        else:
+            nodes -= 1
+            frame[0] = j + 1
+            chosen.append(j)
+            frames.append([j, left - cost[j], room - 1])
+    return None, nodes
+
+
+def find_witness(n: int, k: int, pinned: PinnedSet) -> Tuple[int, Tuple[int, ...]]:
+    """A witness (m, parts) for f(n) = n under the lemma of
+    multsquares.certificate, parts non-increasing.
+
+    First m = n - 1, when all of 1..n-1 are pinned: any k-square
+    representation of n(n-1) with parts below n will do.  Then each other
+    pinned m coprime to n with n*m >= k, smallest first: n*m - k written as
+    at most k terms x^2 - 1 over pinned x >= 2, the other parts being 1.
+    That fallback visits at most FALLBACK_NODES search nodes in all.
+    Raises NoWitnessError naming each m tried and why it failed."""
+    tried = []
+    first = pinned.prefix >= n - 1
+    if first:
+        target = n * (n - 1)
+        enum = enumerate_representations(target, k, limit=1, max_part=n - 1)
+        if enum.representations:
+            return n - 1, enum.representations[0].parts
+        tried.append(
+            f"m={n - 1}: {target} has no representation with parts below {n}"
+        )
+    others = [
+        m
+        for m in sorted(pinned)
+        if n * m >= k and gcd(n, m) == 1 and not (first and m == n - 1)
+    ]
+    if not others:
+        other = " other" if first else ""
+        tried.append(f"no{other} pinned m is coprime to {n} with {n}*m >= {k}")
+    nodes = FALLBACK_NODES
+    for m in others:
+        excess = n * m - k
+        parts, nodes = _excess_parts(excess, k, pinned, nodes)
+        if parts is not None:
+            return m, parts + (1,) * (k - len(parts))
+        sums = f"{excess} = {n}*{m}-{k} as at most {k} terms x^2-1 over pinned x >= 2"
+        if nodes == 0:
+            tried.append(f"m={m}: search for {sums} stopped at {FALLBACK_NODES} nodes")
+            break
+        tried.append(f"m={m}: no way to write {sums}")
+    if len(tried) > SHOWN_ATTEMPTS:
+        tried[SHOWN_ATTEMPTS:] = [f"{len(tried) - SHOWN_ATTEMPTS} more failed"]
+    raise NoWitnessError("; ".join(tried))
+
+
+def certify_induction(
+    k: int, pinned: PinnedSet, bound: int
+) -> Optional[Tuple[int, str]]:
+    """Certify f(n) = n for n = 2..bound in order, adding each n to pinned:
+    an n already pinned is skipped, any other gets a witness from
+    find_witness that check_step must accept.  Returns the first n left
+    uncertified with the reason, or None."""
+    for n in range(2, bound + 1):
+        if n in pinned:
+            continue
+        try:
+            m, parts = find_witness(n, k, pinned)
+        except NoWitnessError as exc:
+            return n, str(exc)
+        fault = check_step(n, m, parts, k, pinned)
+        if fault is not None:
+            return n, f"certificate rejected: {fault}"
+        pinned.add(n)
+    return None
+
+
 def _proof_route(
     case: str,
     k: int,
@@ -123,17 +276,23 @@ def _proof_route(
     bound: int,
     budget: int,
 ) -> CaseReport:
-    """The tail every case k >= 4 shares after its own identity checks: the
-    scripted replay, the n(n-1) induction on its state up to bound, and
-    f(n) = n pinned for every n up to bound.  A replay mismatch ends the
+    """The tail every case k >= 4 shares after its own identity checks.
+
+    `replay` runs the scripted replay, whose propagation `budget` bounds;
+    its pinned set is the certificate's trust base.  `induction` extends
+    that set to every n up to bound by certify_induction, each step an
+    integer check of the lemma in multsquares.certificate, with no solver
+    propagation.  `pinned-to-<bound>` then requires every n up to bound to
+    be pinned by the replay or certified.  A replay mismatch ends the
     route at the failed replay check."""
     try:
-        state = replay_script(k, budget=budget).state
+        replayed = replay_script(k, budget=budget)
     except ReplayMismatchError as exc:
         checks.append(CheckResult("replay", False, str(exc)))
     else:
-        failure = induction_sweep(state, 2, bound)
-        missing = [n for n in range(1, bound + 1) if not state.is_pinned(n)]
+        pinned = _replay_pinned(replayed)
+        failure = certify_induction(k, pinned, bound)
+        missing = [n for n in range(1, bound + 1) if n not in pinned]
         checks += [
             CheckResult("replay", True, "all stage claims match"),
             CheckResult(

@@ -91,6 +91,18 @@ def test_theorem_command(capsys):
     assert env["result"]["all_passed"] is True
 
 
+def test_theorem_large_k_exits_0(capsys):
+    # 11 * 10 = 110 < 111, so n = 11 needs a witness m other than n - 1
+    code, out, _ = run_cli("theorem", "--k", "111", "--bound", "60", capsys=capsys)
+    assert code == 0, out
+    env = parse(out)
+    assert env["status"] == "ok"
+    assert env["result"]["all_passed"] is True
+    assert env["result"]["checks"][-1] == {
+        "name": "pinned-to-60", "passed": True, "detail": ""
+    }
+
+
 def test_check_command(tmp_path, capsys):
     values = {
         str(q): str(q)

@@ -5,14 +5,18 @@ import pytest
 import multsquares.theorem as theorem_module
 from multsquares.arith import represent_in_semigroup
 from multsquares.gaussian import gauss
+from multsquares.certificate import check_step
 from multsquares.replay import ReplayMismatchError
 from multsquares.theorem import (
     EVEN_STEP,
     ODD_STEP,
     EXPECTED_SIGN_PAIRS,
+    NoWitnessError,
     ParametricIdentity,
+    PinnedSet,
     _two_equation_solutions,
     check_parametric,
+    find_witness,
     theorem_check,
     verify_case_general,
     verify_case_k,
@@ -150,15 +154,138 @@ def test_every_case_reports_one_route():
 
 
 def test_induction_failure_reason_reported(monkeypatch):
-    monkeypatch.setattr(
-        theorem_module, "induction_sweep", lambda state, lo, hi: (7, "stub")
-    )
+    # every replay pins 7, so the test drops 7 from the replay's pinned set
+    # and makes the witness search fail there
+    real_pinned = theorem_module._replay_pinned
+    real_search = theorem_module.find_witness
+
+    def forget_7(replayed):
+        return PinnedSet(n for n in real_pinned(replayed) if n != 7)
+
+    def fail_at_7(n, k, pinned):
+        if n == 7:
+            raise NoWitnessError("stub")
+        return real_search(n, k, pinned)
+
+    monkeypatch.setattr(theorem_module, "_replay_pinned", forget_7)
+    monkeypatch.setattr(theorem_module, "find_witness", fail_at_7)
     for k in (4, 5, 8):
         report = theorem_check(k, 60)
         induction = next(c for c in report.checks if c.name == "induction")
         assert not induction.passed, k
         assert induction.detail == "at n=7: stub", k
+        assert report.checks[-1].detail.startswith("unpinned: [7,"), k
         assert report.all_passed is False
+
+
+def test_route_checks_every_witness(monkeypatch):
+    # a witness the checker rejects stops the certificate at that n
+    monkeypatch.setattr(
+        theorem_module, "find_witness", lambda n, k, pinned: (111, (1,) * k)
+    )
+    report = theorem_check(111, 40)
+    induction = next(c for c in report.checks if c.name == "induction")
+    assert induction.detail == (
+        "at n=11: certificate rejected: squares sum to 111, not 11*111 = 1221"
+    )
+    assert report.checks[-1].detail.startswith("unpinned: [11,")
+
+
+def test_failure_detail_names_each_m_tried():
+    # n(n-1) = 110 < k = 111, and no other pinned m is coprime to 11
+    with pytest.raises(NoWitnessError) as exc:
+        find_witness(11, 111, PinnedSet(range(1, 11)))
+    assert str(exc.value) == (
+        "m=10: 110 has no representation with parts below 11; "
+        "no other pinned m is coprime to 11 with 11*m >= 111"
+    )
+    # 11*12 - 125 = 7 is no sum of terms 3 = 2^2-1 and 8 = 3^2-1
+    with pytest.raises(NoWitnessError) as exc:
+        find_witness(11, 125, PinnedSet([*range(1, 11), 12]))
+    assert str(exc.value) == (
+        "m=10: 110 has no representation with parts below 11; "
+        "m=12: no way to write 7 = 11*12-125 as at most 125 terms x^2-1 "
+        "over pinned x >= 2"
+    )
+    # 1..10 not all pinned: m = n - 1 is searched like any other m
+    with pytest.raises(NoWitnessError) as exc:
+        find_witness(11, 125, PinnedSet([1, 2, 12]))
+    assert str(exc.value).startswith("m=12: no way to write 7 = 11*12-125")
+
+
+def test_fallback_search_stops_at_node_limit(monkeypatch):
+    # 11*111 - 111 = 1110 needs 14 terms x^2-1 over x in 2..10
+    pinned = PinnedSet([*range(1, 11), 111])
+    m, parts = find_witness(11, 111, pinned)
+    assert m == 111 and check_step(11, m, parts, 111, pinned) is None
+    monkeypatch.setattr(theorem_module, "FALLBACK_NODES", 5)
+    with pytest.raises(NoWitnessError) as exc:
+        find_witness(11, 111, pinned)
+    assert str(exc.value).endswith(
+        "m=111: search for 1110 = 11*111-111 as at most 111 terms x^2-1 "
+        "over pinned x >= 2 stopped at 5 nodes"
+    )
+
+
+def test_excess_search_matches_dynamic_programming():
+    # which excesses are sums of at most `terms` values x^2 - 1, x pinned
+    for members in ([1, 2, 3], [1, 2, 5, 7], [1, 3, 4, 6], [1, *range(2, 12)]):
+        pinned = PinnedSet(members)
+        costs = [x * x - 1 for x in members if x >= 2]
+        for terms in (1, 2, 3, 5, 40):
+            reach = {0}
+            for _ in range(terms):
+                reach |= {r + c for r in reach for c in costs if r + c <= 300}
+            for excess in range(301):
+                parts, _ = theorem_module._excess_parts(excess, terms, pinned, 10**6)
+                found = parts is not None
+                assert found == (excess in reach), (members, terms, excess)
+                if found:
+                    assert len(parts) <= terms
+                    assert list(parts) == sorted(parts, reverse=True)
+                    assert sum(x * x - 1 for x in parts) == excess
+                    assert all(x in pinned for x in parts)
+
+
+def test_pinned_set_prefix():
+    pinned = PinnedSet([1, 2, 4, 7])
+    assert pinned.prefix == 2
+    pinned.add(3)
+    assert pinned.prefix == 4
+    pinned.add(6)
+    assert pinned.prefix == 4 and 6 in pinned and 5 not in pinned
+    pinned.add(5)
+    assert pinned.prefix == 7
+
+
+def test_large_k_proves():
+    # for these k the m = n - 1 step alone stops at n = 11: 110 = 11*10 is
+    # below k, or 110 - k is a Dubouis offset (1, 2, 4, 5, 7, 10 or 13); the
+    # coprime fallback carries the certificate on
+    for k in (97, 100, 103, 105, 106, 108, 109, 111, 115, 120, 130, 500):
+        report = theorem_check(k, 40)
+        assert report.all_passed, (k, failed_checks(report))
+        assert [c.name for c in report.checks[-3:]] == [
+            "replay",
+            "induction",
+            "pinned-to-40",
+        ], k
+    pinned = theorem_module._replay_pinned(theorem_module.replay_script(111))
+    assert 11 not in pinned
+    assert find_witness(11, 111, pinned)[0] == 111
+
+
+def test_certificate_steps_pass_the_checker():
+    # replay the certificate for two cases, checking each step here too
+    for k in (5, 111):
+        pinned = theorem_module._replay_pinned(theorem_module.replay_script(k))
+        for n in range(2, 121):
+            if n in pinned:
+                continue
+            m, parts = find_witness(n, k, pinned)
+            assert check_step(n, m, parts, k, pinned) is None, (k, n)
+            pinned.add(n)
+        assert pinned.prefix >= 120
 
 
 def test_replay_mismatch_ends_the_route(monkeypatch):

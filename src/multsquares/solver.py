@@ -308,10 +308,10 @@ class SolverState:
         key = poly_key(poly)
         if key in self._eq_keys:
             return False
-        if not poly_vars(poly):
+        eq = _Equation(len(self._equations), poly, label, rule, target)
+        if not eq.vars:
             raise ContradictionError(0, label)
         self._eq_keys.add(key)
-        eq = _Equation(len(self._equations), poly, label, rule, target)
         self._equations.append(eq)
         for v in eq.vars:
             self._var_eqs.setdefault(v, []).append(eq.eq_id)
@@ -728,8 +728,14 @@ class SolverReport:
 def pin_by_induction(state: SolverState, n: int) -> SolverState:
     """Inject the n(n-1) step for one n and propagate.
 
-    Requires f(m) = m for all m < n to actually pin f(n); the injected
-    constraints are valid instances regardless, so this is always sound.
+    The step is two equations: one representation of n(n-1) with every
+    part below n, and f(n(n-1)) = f(n-1) f(n).  Given f(m) = m for all
+    m < n, the sum pins f(n(n-1)) and the product then pins f(n); a split
+    form or a pairing of them would hold only pinned unknowns, so none is
+    derived and neither joins the pairing registry.  Both equations are
+    valid instances regardless, so the step is always sound; without that
+    precondition it may deduce less than add_constraints would from the
+    same two constraints.
     """
     if n < 3:
         raise NoSmallRepresentationError(n, n * (n - 1))
@@ -738,8 +744,11 @@ def pin_by_induction(state: SolverState, n: int) -> SolverState:
     if not enum.representations:
         raise NoSmallRepresentationError(n, target)
     rep = enum.representations[0]
-    state.add_constraints(
-        [SumOfSquares(target, rep.parts), Multiplicative(target, n - 1, n)]
+    sos = SumOfSquares(target, rep.parts)
+    mult = Multiplicative(target, n - 1, n)
+    state._add_equation(defining_poly(sos_rhs(sos), target), sos.label(), "sum", target)
+    state._add_equation(
+        defining_poly(mult_rhs(mult), target), mult.label(), "product", target
     )
     return state.propagate()
 

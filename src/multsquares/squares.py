@@ -13,8 +13,9 @@ from typing import Iterator, List, Optional, Tuple
 MAX_DP_BOUND = 10**6
 
 # largest k that enumeration, the replay and the constraint generator
-# accept; iter_representations is the one search that still recurses once
-# per part, so a k near Python's recursion limit would end in RecursionError
+# accept; iter_representations is the one search that still recurses, once
+# per part above 1, so a k near Python's recursion limit could end in
+# RecursionError
 MAX_K = 500
 
 # largest count table, in coefficients (max n + 1) * (max k + 1); its build
@@ -96,6 +97,10 @@ def iter_representations(
     hi = isqrt(n - (k - 1))
     if max_part is not None:
         hi = min(hi, max_part)
+    if n == k:  # all ones is the only representation: no frame per part
+        if hi >= 1:
+            yield (1,) * k
+        return
     if k == 1:
         r = isqrt(n)
         if r * r == n and r <= hi:

@@ -333,10 +333,26 @@ def test_retired_equations_are_released(monkeypatch):
     assert state._ops == ops
 
 
+def test_induction_step_adds_its_two_equations():
+    # once 1..n-1 are pinned the step is its sum and its product: no split
+    # form and no pairs, and each narrows one unknown
+    state = replay_script(5).state
+    assert induction_sweep(state, 2, 20) is None
+    n = next(m for m in range(21, 100) if not state.is_pinned(m))
+    equations, steps = len(state._equations), len(state.trace)
+    pin_by_induction(state, n)
+    assert len(state._equations) - equations == 2
+    assert [(s.variable, s.rule) for s in state.trace[steps:]] == [
+        (n * (n - 1), "forward"),
+        (n, "product"),
+    ]
+
+
 def test_induction_live_memory_per_step():
     # a settled equation is released, so what one induction step keeps is
-    # its trace steps, dedup keys and pairing forms: about 7 KB per n, where
-    # keeping every settled equation alive costs about 14 KB
+    # its two trace steps and two dedup keys: about 4 KB per n, where the
+    # split form and pairs of a full intake cost about 7 KB and keeping
+    # every settled equation alive about 14 KB
     state = replay_script(5).state
     assert induction_sweep(state, 2, 500) is None
     gc.collect()
@@ -348,7 +364,7 @@ def test_induction_live_memory_per_step():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert (after - before) / 500 < 10_000
+    assert (after - before) / 500 < 6_000
 
 
 def test_pairing_needed_for_solve_k13():

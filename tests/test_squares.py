@@ -87,10 +87,12 @@ def test_enumerate_truncation_flag():
 
 
 def test_enumerate_order_is_lexicographically_decreasing():
-    for n, k in ((100, 4), (60, 5), (90, 6)):
+    # the large-k inputs reach the all-ones tail that is yielded whole
+    for n, k in ((100, 4), (60, 5), (90, 6), (60, 40), (130, 100)):
         parts = [r.parts for r in enumerate_representations(n, k).representations]
         assert parts == sorted(parts, reverse=True)
         assert len(parts) == len(set(parts))
+        assert len(parts) == count_representations(n, k), (n, k)
 
 
 def test_oracle_equivalence_small():

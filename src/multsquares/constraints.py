@@ -32,9 +32,6 @@ class SumOfSquares:
         inner = "+".join(f"f({x})^2" for x in self.parts)
         return f"f({self.target})={inner}"
 
-    def sort_key(self):
-        return (self.target, 0, tuple(-x for x in self.parts))
-
 
 @dataclass(frozen=True)
 class Multiplicative:
@@ -54,9 +51,6 @@ class Multiplicative:
 
     def label(self) -> str:
         return f"f({self.target})=f({self.m})*f({self.l})"
-
-    def sort_key(self):
-        return (self.target, 1, (self.m, self.l))
 
 
 Constraint = Union[SumOfSquares, Multiplicative]

@@ -735,7 +735,8 @@ def pin_by_induction(state: SolverState, n: int) -> SolverState:
     derived and neither joins the pairing registry.  Both equations are
     valid instances regardless, so the step is always sound; without that
     precondition it may deduce less than add_constraints would from the
-    same two constraints.
+    same two constraints.  Its one caller in the package, induction_sweep,
+    meets it: it steps n upward and stops at the first n left unpinned.
     """
     if n < 3:
         raise NoSmallRepresentationError(n, n * (n - 1))

@@ -309,32 +309,29 @@ def _proof_route(
     return CaseReport(case, k, tuple(checks), manifest, True)
 
 
-def verify_case_k4(
-    max_m: int, bound: int = 100, budget: int = DEFAULT_BUDGET
-) -> CaseReport:
+# the doubling step's witnesses are checked for m = 1..DOUBLING_MAX_M
+DOUBLING_MAX_M = 3
+
+
+def verify_case_k4(bound: int, *, budget: int = DEFAULT_BUDGET) -> CaseReport:
     """Checks for k = 4: displayed identities and the 4^m doubling step
     witnesses, then the shared proof route."""
     checks, manifest = _check_displayed(4)
-    if max_m < 1:
-        checks.append(
-            CheckResult("doubling-witnesses", True, "vacuous: max_m < 1")
+    bad = []
+    for m in range(1, DOUBLING_MAX_M + 1):
+        target = 10 * 4**m
+        limit = 2 * 4**m - 1
+        enum = enumerate_representations(target, 4, limit=1, max_part=limit)
+        if not enum.representations:
+            bad.append(m)
+    checks.append(
+        CheckResult(
+            "doubling-witnesses",
+            not bad,
+            f"m=1..{DOUBLING_MAX_M}; parts below 2*4^m"
+            + ("" if not bad else f"; failed at {bad}"),
         )
-    else:
-        bad = []
-        for m in range(1, max_m + 1):
-            target = 10 * 4**m
-            limit = 2 * 4**m - 1
-            enum = enumerate_representations(target, 4, limit=1, max_part=limit)
-            if not enum.representations:
-                bad.append(m)
-        checks.append(
-            CheckResult(
-                "doubling-witnesses",
-                not bad,
-                f"m=1..{max_m}; parts below 2*4^m"
-                + ("" if not bad else f"; failed at {bad}"),
-            )
-        )
+    )
     return _proof_route("four-squares", 4, checks, manifest, bound, budget)
 
 
@@ -498,7 +495,7 @@ def theorem_check(
             verdict=None,
         )
     if k == 4:
-        return verify_case_k4(3, bound, budget)
+        return verify_case_k4(bound, budget=budget)
     if k in (5, 6, 7):
         return verify_case_k(k, bound, budget)
     return verify_case_general(k, bound, budget)

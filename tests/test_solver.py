@@ -23,6 +23,7 @@ from multsquares.solver import (
     pin_by_induction,
     solve,
 )
+from multsquares.theorem import theorem_check
 import multsquares.solver as solver_module
 
 
@@ -195,9 +196,10 @@ def test_identity_never_pruned():
 
 
 # sha256 of json.dumps(..., sort_keys=True) of replay_script(k).to_dict(),
-# solve(k, 100).to_dict(), and the trace of replay_script(k).state swept to
-# n = 1000: the traces, including their square-view steps (replay 6,
-# solve 4), are pinned across changes
+# solve(k, 100).to_dict(), the trace of replay_script(k).state swept to
+# n = 1000, and theorem_check(k, 60).to_dict(): the traces, including their
+# square-view steps (replay 6, solve 4), and the theorem envelopes are
+# pinned across changes
 TRACE_DIGESTS = {
     ("replay", 4): "7eb9eb4fd719a50ae6968ec9acc48e780bad42779834005eb62de6f1d39c3106",
     ("replay", 5): "94b68cde5f065c4030a19abe86c5112372229598327760ad84e08fa6af081a94",
@@ -210,6 +212,12 @@ TRACE_DIGESTS = {
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
     ("sweep", 5): "cba9a41f5a7d4b671d49f74a2ebf1195cc9c571863b7660c20eefef3ea30f07d",
     ("sweep", 13): "2f7d72bd940cc7e55e86665c446ea80d384076bc45d6d02b7449e4e442c57391",
+    ("theorem", 4): "51f0fcd7732a737de5f115a93b57968b08dbfbc03691d9d90d5f171a8473b4c1",
+    ("theorem", 5): "32a72aa7e447530dfeb45eb34478a7e19e79c7608e8390597b792e689f1b3846",
+    ("theorem", 6): "0567ce5faf55f8f2d3618f2a397e6b2dbc07fc98ece0240f297703bb1a46a37b",
+    ("theorem", 7): "5cd1d42e2042d4b49e979915387f9350856a0c158740ea13ee2b37cdfd19f03f",
+    ("theorem", 8): "33cc873f7dc614c63a9b60e5c19dd5d5a2632ae089d5427bcd6b9b101248ce55",
+    ("theorem", 13): "9475fd85a80f530e476c92df59723c1c801544bd197af4affcb7a92f3382ebf1",
 }
 
 
@@ -218,6 +226,8 @@ def _pinned_run(kind, k):
         return replay_script(k).to_dict()
     if kind == "solve":
         return solve(k, 100).to_dict()
+    if kind == "theorem":
+        return theorem_check(k, 60).to_dict()
     state = replay_script(k).state
     assert induction_sweep(state, 2, 1000) is None
     return [step.to_dict() for step in state.trace]

@@ -68,7 +68,7 @@ def test_two_equation_solutions_exact():
 
 
 def test_verify_case_k4():
-    report = verify_case_k4(3)
+    report = verify_case_k4(100)
     assert report.all_passed, failed_checks(report)
     displayed = [
         (12, (3, 1, 1, 1)),
@@ -83,12 +83,11 @@ def test_verify_case_k4():
         f"displayed:{t}:{parts}" for t, parts in displayed
     ] + ["doubling-witnesses", "replay", "induction", "pinned-to-100"]
     assert report.manifest == tuple(f"target:{t}" for t, _ in displayed)
-
-
-def test_verify_case_k4_vacuous_doubling():
-    report = verify_case_k4(0)
-    check = next(c for c in report.checks if c.name == "doubling-witnesses")
-    assert check.passed and "vacuous" in check.detail
+    doubling = next(c for c in report.checks if c.name == "doubling-witnesses")
+    assert doubling.detail == "m=1..3; parts below 2*4^m"
+    # budget is keyword-only, so a call in the old (max_m, bound) form fails
+    with pytest.raises(TypeError):
+        verify_case_k4(3, 100)
 
 
 def test_verify_case_k_small_bounds():

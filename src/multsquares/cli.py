@@ -113,7 +113,7 @@ def _cmd_solve(args) -> (Any, bool):
 
 def _cmd_replay(args) -> (Any, bool):
     result = replay_script(args.k)
-    return result.to_dict(include_trace=True), True
+    return result.to_dict(), True
 
 
 def _cmd_check(args) -> (Any, bool):

@@ -172,27 +172,6 @@ def poly_vars(a: Poly) -> Tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def poly_str(a: Poly) -> str:
-    """Readable deterministic rendering, used in trace labels."""
-    if not a:
-        return "0"
-    terms = []
-    for m, c in sorted(a.items()):
-        if not m:
-            terms.append(str(c))
-            continue
-        factors = "*".join(
-            f"f({v})" if p == 1 else f"f({v})^{p}" for v, p in m
-        )
-        if c == 1:
-            terms.append(factors)
-        elif c == -1:
-            terms.append(f"-{factors}")
-        else:
-            terms.append(f"{c}*{factors}")
-    return "+".join(terms).replace("+-", "-")
-
-
 def var_mono(n: int) -> Monomial:
     return ((n, 1),)
 

@@ -100,11 +100,11 @@ class ReplayResult:
     steps: Tuple[TraceStep, ...]
     state: SolverState
 
-    def to_dict(self, include_trace: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "k": self.k,
             "stages": [s.to_dict() for s in self.stages],
-            "steps": [s.to_dict() for s in self.steps] if include_trace else [],
+            "steps": [s.to_dict() for s in self.steps],
         }
 
 
@@ -480,6 +480,13 @@ def _padded_sos(core: Sequence[int], k: int) -> SumOfSquares:
     return SumOfSquares(sum(x * x for x in parts), parts)
 
 
+def padded_pairs(table: Sequence[tuple], k: int) -> List[tuple]:
+    """(name, first, second) per row (name, first core, second core) of
+    table, each core padded to k parts; a row's targets are equal exactly
+    when its cores' square sums are."""
+    return [(name, _padded_sos(a, k), _padded_sos(b, k)) for name, a, b in table]
+
+
 def _stages_general(k: int) -> List[ReplayStage]:
     stages = [
         ReplayStage(
@@ -495,9 +502,9 @@ def _stages_general(k: int) -> List[ReplayStage]:
         ReplayStage(
             "double-representations-40-32",
             tuple(
-                _padded_sos(core, k)
-                for _, first, second in DOUBLE_REPRESENTATIONS
-                for core in (first, second)
+                c
+                for _, first, second in padded_pairs(DOUBLE_REPRESENTATIONS, k)
+                for c in (first, second)
             )
             + (Multiplicative(6, 2, 3),),
             (
@@ -521,9 +528,9 @@ def _stages_general(k: int) -> List[ReplayStage]:
     ]
     earlier = {c for stage in stages for c in stage.constraints}
     small = [
-        _padded_sos(core, k)
-        for _, lhs, rhs in SMALL_IDENTITY_TABLE
-        for core in (lhs, rhs)
+        c
+        for _, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k)
+        for c in (lhs, rhs)
     ] + [Multiplicative(n, m, l) for n, m, l in SMALL_PRODUCTS]
     stages.append(
         ReplayStage(

@@ -47,7 +47,8 @@ from .squares import enumerate_representations
 DEFAULT_BUDGET = 5_000_000
 DEFAULT_SET_CAP = 64
 DEFAULT_REP_CAP = 16
-DEFAULT_PAIR_CAP = 6
+# sums of squares per target whose forms are paired with the target's others
+PAIR_CAP = 6
 COMBINATION_CAP = 4096
 RESULTANT_CAP = 4096
 
@@ -223,7 +224,6 @@ class SolverState:
         bound: int,
         *,
         set_cap: int = DEFAULT_SET_CAP,
-        pair_cap: int = DEFAULT_PAIR_CAP,
         budget: int = DEFAULT_BUDGET,
     ):
         if k < 2:
@@ -231,7 +231,6 @@ class SolverState:
         self.k = k
         self.bound = bound
         self.set_cap = set_cap
-        self.pair_cap = pair_cap
         self.budget = budget
         self.trace: List[TraceStep] = []
         self._values: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
@@ -276,7 +275,7 @@ class SolverState:
                     forms.append((c.label() + "[split]", split))
                 seen = self._sos_seen.get(c.target, 0)
                 self._sos_seen[c.target] = seen + 1
-                pairable = seen < self.pair_cap
+                pairable = seen < PAIR_CAP
             elif isinstance(c, Multiplicative):
                 kind = "product"
                 forms = [(c.label(), mult_rhs(c))]
@@ -624,7 +623,7 @@ class SolverState:
 
     # -- reporting -------------------------------------------------------------
 
-    def report(self, include_trace: bool = True) -> "SolverReport":
+    def report(self) -> "SolverReport":
         pinned = []
         unresolved = []
         for n in range(1, self.bound + 1):
@@ -637,7 +636,7 @@ class SolverState:
             bound=self.bound,
             pinned=tuple(pinned),
             unresolved=tuple(unresolved),
-            steps=tuple(self.trace) if include_trace else (),
+            steps=tuple(self.trace),
             state=self,
         )
 
@@ -779,10 +778,9 @@ def solve(
     *,
     rep_cap: int = DEFAULT_REP_CAP,
     set_cap: int = DEFAULT_SET_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> SolverReport:
     """Generate constraints up to bound, propagate, and sweep the induction."""
-    state = SolverState(k, bound, set_cap=set_cap, pair_cap=pair_cap, budget=budget)
+    state = SolverState(k, bound, set_cap=set_cap, budget=budget)
     state.add_constraints(generate_constraints(k, bound, rep_cap))
     state.propagate()
     induction_sweep(state, 2, bound)

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .arith import NonRepresentableError, represent_in_semigroup
 from .certificate import check_step
-from .constraints import MAX_SOLVER_BOUND, Multiplicative
+from .constraints import MAX_SOLVER_BOUND, Multiplicative, SumOfSquares
 from .gaussian import gauss
 from .replay import (
     DOUBLE_REPRESENTATIONS,
@@ -35,7 +35,7 @@ from .replay import (
     construction,
     displayed_identities,
     double_representations_hold,
-    pad,
+    padded_pairs,
     replay_script,
 )
 from .solver import DEFAULT_BUDGET, solve
@@ -134,41 +134,15 @@ class NoWitnessError(Exception):
     and why it failed."""
 
 
-class PinnedSet:
-    """The arguments s known to have f(s) = s, and the largest p with all of
-    1..p among them, kept current as members are added."""
-
-    def __init__(self, members: Iterable[int]):
-        self._members = set(members)
-        self.prefix = 0
-        self._advance()
-
-    def __contains__(self, n: object) -> bool:
-        return n in self._members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._members)
-
-    def add(self, n: int) -> None:
-        self._members.add(n)
-        self._advance()
-
-    def _advance(self) -> None:
-        while self.prefix + 1 in self._members:
-            self.prefix += 1
-
-
-def _replay_pinned(replayed: ReplayResult) -> PinnedSet:
+def _replay_pinned(replayed: ReplayResult) -> Set[int]:
     """The replay's pinned set: 1, and every variable a narrowing step of
     its trace touched that ended pinned (no other variable can be)."""
     state = replayed.state
-    return PinnedSet(
-        {1} | {s.variable for s in replayed.steps if state.is_pinned(s.variable)}
-    )
+    return {1} | {s.variable for s in replayed.steps if state.is_pinned(s.variable)}
 
 
 def _excess_parts(
-    excess: int, terms: int, pinned: PinnedSet, nodes: int
+    excess: int, terms: int, pinned: Set[int], nodes: int
 ) -> Tuple[Optional[Tuple[int, ...]], int]:
     """At most `terms` pinned x >= 2, non-increasing, whose x^2 - 1 sum to
     excess (None if none is found), and what is left of the `nodes` the
@@ -203,34 +177,28 @@ def _excess_parts(
     return None, nodes
 
 
-def find_witness(n: int, k: int, pinned: PinnedSet) -> Tuple[int, Tuple[int, ...]]:
+def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]]:
     """A witness (m, parts) for f(n) = n under the lemma of
     multsquares.certificate, parts non-increasing.
 
-    First m = n - 1, when all of 1..n-1 are pinned: any k-square
+    Requires all of 1..n-1 to be pinned, as certify_induction's order
+    ensures; without that the m = n - 1 witness may name an unpinned
+    argument, which check_step rejects.  First m = n - 1: any k-square
     representation of n(n-1) with parts below n will do.  Then each other
     pinned m coprime to n with n*m >= k, smallest first: n*m - k written as
     at most k terms x^2 - 1 over pinned x >= 2, the other parts being 1.
     That fallback visits at most FALLBACK_NODES search nodes in all.
     Raises NoWitnessError naming each m tried and why it failed."""
-    tried = []
-    first = pinned.prefix >= n - 1
-    if first:
-        target = n * (n - 1)
-        enum = enumerate_representations(target, k, limit=1, max_part=n - 1)
-        if enum.representations:
-            return n - 1, enum.representations[0].parts
-        tried.append(
-            f"m={n - 1}: {target} has no representation with parts below {n}"
-        )
+    target = n * (n - 1)
+    enum = enumerate_representations(target, k, limit=1, max_part=n - 1)
+    if enum.representations:
+        return n - 1, enum.representations[0].parts
+    tried = [f"m={n - 1}: {target} has no representation with parts below {n}"]
     others = [
-        m
-        for m in sorted(pinned)
-        if n * m >= k and gcd(n, m) == 1 and not (first and m == n - 1)
+        m for m in sorted(pinned) if n * m >= k and gcd(n, m) == 1 and m != n - 1
     ]
     if not others:
-        other = " other" if first else ""
-        tried.append(f"no{other} pinned m is coprime to {n} with {n}*m >= {k}")
+        tried.append(f"no other pinned m is coprime to {n} with {n}*m >= {k}")
     nodes = FALLBACK_NODES
     for m in others:
         excess = n * m - k
@@ -248,12 +216,13 @@ def find_witness(n: int, k: int, pinned: PinnedSet) -> Tuple[int, Tuple[int, ...
 
 
 def certify_induction(
-    k: int, pinned: PinnedSet, bound: int
+    k: int, pinned: Set[int], bound: int
 ) -> Optional[Tuple[int, str]]:
     """Certify f(n) = n for n = 2..bound in order, adding each n to pinned:
     an n already pinned is skipped, any other gets a witness from
     find_witness that check_step must accept.  Returns the first n left
-    uncertified with the reason, or None."""
+    uncertified with the reason, or None.  Since it stops there, all of
+    1..n-1 are pinned whenever find_witness is called for n."""
     for n in range(2, bound + 1):
         if n in pinned:
             continue
@@ -367,6 +336,15 @@ def _two_equation_solutions() -> set:
     return solutions
 
 
+def _pair_check(
+    name: str, first: SumOfSquares, second: SumOfSquares, what: str
+) -> CheckResult:
+    """Whether two padded sums of squares share their target."""
+    if first.target == second.target:
+        return CheckResult(name, True, f"{what} {first.target}")
+    return CheckResult(name, False, f"{what}s {first.target} and {second.target}")
+
+
 def verify_case_general(
     k: int, bound: int, budget: int = DEFAULT_BUDGET
 ) -> CaseReport:
@@ -379,14 +357,8 @@ def verify_case_general(
     checks: List[CheckResult] = []
 
     # (a) the 40 and 32 double representations, padded to k parts
-    for name, first, second in DOUBLE_REPRESENTATIONS:
-        target = sum(x * x for x in pad(first, k))
-        try:
-            Representation(target, pad(first, k))
-            Representation(target, pad(second, k))
-            checks.append(CheckResult(name, True, f"target {target}"))
-        except ValueError as exc:
-            checks.append(CheckResult(name, False, str(exc)))
+    for name, first, second in padded_pairs(DOUBLE_REPRESENTATIONS, k):
+        checks.append(_pair_check(name, first, second, "target"))
 
     # (b) the two-equation system has exactly the expected sign pairs
     got = _two_equation_solutions()
@@ -421,21 +393,8 @@ def verify_case_general(
         checks.append(CheckResult("construction", False, str(exc)))
 
     # (e) the small identity table pads to equal-target pairs
-    for base, lhs, rhs in SMALL_IDENTITY_TABLE:
-        lhs_p = pad(lhs, k)
-        rhs_p = pad(rhs, k)
-        try:
-            r1 = Representation(sum(x * x for x in lhs_p), lhs_p)
-            r2 = Representation(sum(x * x for x in rhs_p), rhs_p)
-            checks.append(
-                CheckResult(
-                    f"identity-{base}",
-                    r1.target == r2.target,
-                    f"padded target {r1.target}",
-                )
-            )
-        except ValueError as exc:
-            checks.append(CheckResult(f"identity-{base}", False, str(exc)))
+    for base, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k):
+        checks.append(_pair_check(f"identity-{base}", lhs, rhs, "padded target"))
     for n, m, l in SMALL_PRODUCTS:
         checks.append(
             CheckResult(

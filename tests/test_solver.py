@@ -377,9 +377,11 @@ def test_induction_live_memory_per_step():
     assert (after - before) / 500 < 6_000
 
 
-def test_pairing_needed_for_solve_k13():
+def test_pairing_needed_for_solve_k13(monkeypatch):
     # ablation: without paired equations the engine pins almost nothing
-    assert len(solve(13, 60, pair_cap=0).pinned) == 2
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "PAIR_CAP", 0)
+        assert len(solve(13, 60).pinned) == 2
     assert solve(13, 60).all_pinned
 
 

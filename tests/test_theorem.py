@@ -13,7 +13,6 @@ from multsquares.theorem import (
     EXPECTED_SIGN_PAIRS,
     NoWitnessError,
     ParametricIdentity,
-    PinnedSet,
     _two_equation_solutions,
     check_parametric,
     find_witness,
@@ -113,6 +112,19 @@ def test_verify_case_general_k9_semigroup_choice():
     assert report.all_passed, failed_checks(report)
 
 
+def test_unequal_identity_row_fails_its_check(monkeypatch):
+    # 4,2,2,2 and 3,3,3,2 square-sum to 28 and 31: a wrong row is reported
+    # as a failed check naming both padded targets, never raised
+    monkeypatch.setattr(
+        theorem_module, "SMALL_IDENTITY_TABLE", ((28, (4, 2, 2, 2), (3, 3, 3, 2)),)
+    )
+    report = verify_case_general(8, 60)
+    row = next(c for c in report.checks if c.name == "identity-28")
+    assert (row.passed, row.detail) == (False, "padded targets 32 and 35")
+    assert report.all_passed is False
+    assert [c.name for c in failed_checks(report)] == ["identity-28"]
+
+
 def test_construction_arithmetic_k8():
     # two 1s, five 2s, one 7: 2 + 20 + 49 = 71 = 8^2 + 8 - 1
     a, b = represent_in_semigroup(15, 3, 8)
@@ -159,7 +171,7 @@ def test_induction_failure_reason_reported(monkeypatch):
     real_search = theorem_module.find_witness
 
     def forget_7(replayed):
-        return PinnedSet(n for n in real_pinned(replayed) if n != 7)
+        return {n for n in real_pinned(replayed) if n != 7}
 
     def fail_at_7(n, k, pinned):
         if n == 7:
@@ -175,6 +187,23 @@ def test_induction_failure_reason_reported(monkeypatch):
         assert induction.detail == "at n=7: stub", k
         assert report.checks[-1].detail.startswith("unpinned: [7,"), k
         assert report.all_passed is False
+
+
+def test_witness_search_sees_every_smaller_n_pinned(monkeypatch):
+    # find_witness relies on 1..n-1 being pinned when it is asked for n
+    real_search = theorem_module.find_witness
+    calls = []
+
+    def checked(n, k, pinned):
+        calls.append(n)
+        assert set(range(1, n)) <= pinned, (k, n)
+        return real_search(n, k, pinned)
+
+    monkeypatch.setattr(theorem_module, "find_witness", checked)
+    for k in (4, 5, 8, 111):
+        calls.clear()
+        assert theorem_check(k, 60).all_passed, k
+        assert calls, k
 
 
 def test_route_checks_every_witness(monkeypatch):
@@ -193,28 +222,24 @@ def test_route_checks_every_witness(monkeypatch):
 def test_failure_detail_names_each_m_tried():
     # n(n-1) = 110 < k = 111, and no other pinned m is coprime to 11
     with pytest.raises(NoWitnessError) as exc:
-        find_witness(11, 111, PinnedSet(range(1, 11)))
+        find_witness(11, 111, set(range(1, 11)))
     assert str(exc.value) == (
         "m=10: 110 has no representation with parts below 11; "
         "no other pinned m is coprime to 11 with 11*m >= 111"
     )
     # 11*12 - 125 = 7 is no sum of terms 3 = 2^2-1 and 8 = 3^2-1
     with pytest.raises(NoWitnessError) as exc:
-        find_witness(11, 125, PinnedSet([*range(1, 11), 12]))
+        find_witness(11, 125, {*range(1, 11), 12})
     assert str(exc.value) == (
         "m=10: 110 has no representation with parts below 11; "
         "m=12: no way to write 7 = 11*12-125 as at most 125 terms x^2-1 "
         "over pinned x >= 2"
     )
-    # 1..10 not all pinned: m = n - 1 is searched like any other m
-    with pytest.raises(NoWitnessError) as exc:
-        find_witness(11, 125, PinnedSet([1, 2, 12]))
-    assert str(exc.value).startswith("m=12: no way to write 7 = 11*12-125")
 
 
 def test_fallback_search_stops_at_node_limit(monkeypatch):
     # 11*111 - 111 = 1110 needs 14 terms x^2-1 over x in 2..10
-    pinned = PinnedSet([*range(1, 11), 111])
+    pinned = {*range(1, 11), 111}
     m, parts = find_witness(11, 111, pinned)
     assert m == 111 and check_step(11, m, parts, 111, pinned) is None
     monkeypatch.setattr(theorem_module, "FALLBACK_NODES", 5)
@@ -229,7 +254,7 @@ def test_fallback_search_stops_at_node_limit(monkeypatch):
 def test_excess_search_matches_dynamic_programming():
     # which excesses are sums of at most `terms` values x^2 - 1, x pinned
     for members in ([1, 2, 3], [1, 2, 5, 7], [1, 3, 4, 6], [1, *range(2, 12)]):
-        pinned = PinnedSet(members)
+        pinned = set(members)
         costs = [x * x - 1 for x in members if x >= 2]
         for terms in (1, 2, 3, 5, 40):
             reach = {0}
@@ -244,17 +269,6 @@ def test_excess_search_matches_dynamic_programming():
                     assert list(parts) == sorted(parts, reverse=True)
                     assert sum(x * x - 1 for x in parts) == excess
                     assert all(x in pinned for x in parts)
-
-
-def test_pinned_set_prefix():
-    pinned = PinnedSet([1, 2, 4, 7])
-    assert pinned.prefix == 2
-    pinned.add(3)
-    assert pinned.prefix == 4
-    pinned.add(6)
-    assert pinned.prefix == 4 and 6 in pinned and 5 not in pinned
-    pinned.add(5)
-    assert pinned.prefix == 7
 
 
 def test_large_k_proves():
@@ -284,7 +298,7 @@ def test_certificate_steps_pass_the_checker():
             m, parts = find_witness(n, k, pinned)
             assert check_step(n, m, parts, k, pinned) is None, (k, n)
             pinned.add(n)
-        assert pinned.prefix >= 120
+        assert pinned >= set(range(1, 121))
 
 
 def test_replay_mismatch_ends_the_route(monkeypatch):

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Tuple
 
+from .squares import MAX_DP_BOUND
+
 
 class NotCoprimeError(ValueError):
     """The two semigroup generators share a common factor."""
@@ -115,11 +117,15 @@ def frobenius_number(a: int, b: int) -> int:
 
 
 def nonrepresentable_set(a: int, b: int) -> List[int]:
-    """Sorted positive integers with no representation xa + yb (x, y >= 0)."""
+    """Sorted positive integers with no representation xa + yb (x, y >= 0).
+    Its table grows with the Frobenius number, so that is capped at
+    MAX_DP_BOUND."""
     pair = SemigroupPair(a, b)
     limit = pair.a * pair.b - pair.a - pair.b
     if limit <= 0:
         return []
+    if limit > MAX_DP_BOUND:
+        raise ValueError(f"Frobenius number must be at most {MAX_DP_BOUND}")
     reachable = bytearray(limit + 1)
     reachable[0] = 1
     for g in (pair.a, pair.b):

@@ -21,8 +21,6 @@ from .solver import (
     BudgetExceededError,
     ContradictionError,
     DEFAULT_BUDGET,
-    DEFAULT_REP_CAP,
-    DEFAULT_SET_CAP,
     MissingValueError,
     check_function,
     solve,
@@ -71,8 +69,12 @@ def _render_text(node: Any, indent: str = "") -> None:
 
 
 def _cmd_repr(args) -> (Any, bool):
-    enum = squares.enumerate_representations(args.n, args.k, limit=args.limit)
+    if args.k > squares.MAX_K:
+        raise ValueError(f"k must be at most {squares.MAX_K}")
+    # the count's table limit refuses an n too large to enumerate, so the
+    # count runs first
     total = squares.count_representations(args.n, args.k)
+    enum = squares.enumerate_representations(args.n, args.k, limit=args.limit)
     result = {
         "n": args.n,
         "k": args.k,
@@ -101,13 +103,7 @@ def _cmd_verify_dubouis(args) -> (Any, bool):
 
 
 def _cmd_solve(args) -> (Any, bool):
-    report = solve(
-        args.k,
-        args.bound,
-        args.budget,
-        rep_cap=args.rep_cap,
-        set_cap=args.seed_cap,
-    )
+    report = solve(args.k, args.bound, args.budget)
     return report.to_dict(include_trace=args.trace), True
 
 
@@ -124,7 +120,7 @@ def _cmd_check(args) -> (Any, bool):
             "--values must hold a JSON object mapping prime powers to value strings"
         )
     table = {int(key): parse_value(text) for key, text in raw.items()}
-    violations = check_function(table, args.k, args.bound, rep_cap=args.rep_cap)
+    violations = check_function(table, args.k, args.bound)
     result = {
         "k": args.k,
         "bound": args.bound,
@@ -202,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
                    help="max propagation steps (deterministic)")
     p.add_argument("--trace", action="store_true", help="include the full trace")
-    p.add_argument("--seed-cap", type=_int_at_least(1), default=DEFAULT_SET_CAP,
-                   help="candidate-set size cap")
-    p.add_argument("--rep-cap", type=_int_at_least(0), default=DEFAULT_REP_CAP,
-                   help="representations per target")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("replay", help="replay a scripted deduction chain")
@@ -217,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--values", required=True,
                    help="JSON file mapping prime powers to exact values")
-    p.add_argument("--rep-cap", type=_int_at_least(0), default=DEFAULT_REP_CAP)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("frobenius", help="Frobenius number and gaps of a pair")

@@ -62,13 +62,15 @@ Constraint = Union[SumOfSquares, Multiplicative]
 MAX_SOLVER_BOUND = 10**4
 
 
-def generate_constraints(
-    k: int, bound: int, per_target_cap: int = 16
-) -> List[Constraint]:
+# sum-of-squares instances generated per target
+REP_CAP = 16
+
+
+def generate_constraints(k: int, bound: int) -> List[Constraint]:
     """All constraints with target <= bound, deterministically ordered.
 
-    Per target: up to per_target_cap sum-of-squares instances (the prefix of
-    the canonical enumeration), then every coprime-split instance.
+    Per target: up to REP_CAP sum-of-squares instances (the prefix of the
+    canonical enumeration), then every coprime-split instance.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -80,7 +82,7 @@ def generate_constraints(
         raise ValueError(f"bound must be at most {MAX_SOLVER_BOUND}")
     out: List[Constraint] = []
     for n in range(2, bound + 1):
-        enum = enumerate_representations(n, k, limit=per_target_cap)
+        enum = enumerate_representations(n, k, limit=REP_CAP)
         for rep in enum.representations:
             out.append(SumOfSquares(n, rep.parts))
         for m, l in arith.coprime_splits(n):

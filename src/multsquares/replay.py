@@ -460,18 +460,18 @@ def _witness_rep(target: int, k: int, max_part: int) -> Optional[Tuple[int, ...]
     return enum.representations[0].parts
 
 
-def _sign_witness(k: int, q: int, max_part: int) -> int:
+def _sign_witness(
+    k: int, q: int, max_part: int
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """Smallest m > k with gcd(m, q) = 1 and m, q*m both k-representable
-    with small parts."""
+    with small parts, and the representations of m and q*m found."""
     m = k + 1
     while True:
-        if (
-            gcd(m, q) == 1
-            and not is_dubouis_exception(m, k)
-            and _witness_rep(m, k, max_part) is not None
-            and _witness_rep(q * m, k, max_part) is not None
-        ):
-            return m
+        if gcd(m, q) == 1 and not is_dubouis_exception(m, k):
+            low = _witness_rep(m, k, max_part)
+            high = None if low is None else _witness_rep(q * m, k, max_part)
+            if high is not None:
+                return m, low, high
         m += 1
 
 
@@ -558,9 +558,9 @@ def _stages_general(k: int) -> List[ReplayStage]:
     sign_expects = []
     seen: set = set()
     for q in range(2, 11):
-        m = _sign_witness(k, q, grown)
-        for t in (m, q * m):
-            c = SumOfSquares(t, _witness_rep(t, k, grown))
+        m, low, high = _sign_witness(k, q, grown)
+        for t, parts in ((m, low), (q * m, high)):
+            c = SumOfSquares(t, parts)
             if c not in seen:
                 seen.add(c)
                 sign_constraints.append(c)

@@ -45,8 +45,8 @@ from .gaussian import ONE, ZERO, GaussianRational, Rational, _norm, fraction_sqr
 from .squares import enumerate_representations
 
 DEFAULT_BUDGET = 5_000_000
-DEFAULT_SET_CAP = 64
-DEFAULT_REP_CAP = 16
+# largest candidate set a narrowing may store; a larger one is not stored
+SET_CAP = 64
 # sums of squares per target whose forms are paired with the target's others
 PAIR_CAP = 6
 COMBINATION_CAP = 4096
@@ -223,14 +223,12 @@ class SolverState:
         k: int,
         bound: int,
         *,
-        set_cap: int = DEFAULT_SET_CAP,
         budget: int = DEFAULT_BUDGET,
     ):
         if k < 2:
             raise ValueError("k must be >= 2")
         self.k = k
         self.bound = bound
-        self.set_cap = set_cap
         self.budget = budget
         self.trace: List[TraceStep] = []
         self._values: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
@@ -513,14 +511,14 @@ class SolverState:
                 val_acc = {w for w in val_acc if w * w in sqs}
             if not val_acc:
                 raise ContradictionError(var, eq.label)
-            if len(val_acc) <= self.set_cap:
+            if len(val_acc) <= SET_CAP:
                 self._set(var, "value", frozenset(val_acc), eq, rule)
                 return
         if sq_ok:
             allowed = frozenset(sq_acc) if sqs is None else sqs & sq_acc
             if not allowed:
                 raise ContradictionError(var, eq.label)
-            if len(allowed) <= self.set_cap:
+            if len(allowed) <= SET_CAP:
                 self._set(var, "square", allowed, eq, rule)
 
     @staticmethod
@@ -574,7 +572,7 @@ class SolverState:
             if ws is None:
                 return
             roots.extend(ws)
-        if len(roots) <= self.set_cap:
+        if len(roots) <= SET_CAP:
             self._set(var, "value", frozenset(roots), eq, "square-root")
 
     # -- elimination on stalls ------------------------------------------------
@@ -775,13 +773,10 @@ def solve(
     k: int,
     bound: int,
     budget: int = DEFAULT_BUDGET,
-    *,
-    rep_cap: int = DEFAULT_REP_CAP,
-    set_cap: int = DEFAULT_SET_CAP,
 ) -> SolverReport:
     """Generate constraints up to bound, propagate, and sweep the induction."""
-    state = SolverState(k, bound, set_cap=set_cap, budget=budget)
-    state.add_constraints(generate_constraints(k, bound, rep_cap))
+    state = SolverState(k, bound, budget=budget)
+    state.add_constraints(generate_constraints(k, bound))
     state.propagate()
     induction_sweep(state, 2, bound)
     return state.report()
@@ -791,7 +786,6 @@ def check_function(
     values_on_prime_powers: Dict[int, GaussianRational],
     k: int,
     bound: int,
-    rep_cap: int = DEFAULT_REP_CAP,
 ) -> List[Violation]:
     """Evaluate every generated constraint against a multiplicative f.
 
@@ -814,7 +808,7 @@ def check_function(
         return acc
 
     violations: List[Violation] = []
-    for c in generate_constraints(k, bound, rep_cap):
+    for c in generate_constraints(k, bound):
         lhs = evaluate(c.target)
         if isinstance(c, SumOfSquares):
             rhs = ZERO

@@ -8,8 +8,9 @@ from math import comb, isqrt
 from typing import Iterator, List, Optional, Tuple
 
 
-# largest bound the exceptional-set DP accepts; its bitmask and its time
-# grow with the bound
+# largest bound the exceptional-set DP accepts, and the largest Frobenius
+# number arith.nonrepresentable_set accepts; their tables and their time grow
+# with the bound
 MAX_DP_BOUND = 10**6
 
 # largest k that enumeration, the replay and the constraint generator

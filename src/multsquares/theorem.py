@@ -14,18 +14,14 @@ after the replay, so the propagation budget bounds the replay only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Optional, Set, Tuple
 
-from .arith import NonRepresentableError, represent_in_semigroup
 from .certificate import check_step
 from .constraints import MAX_SOLVER_BOUND, Multiplicative, SumOfSquares
-from .gaussian import gauss
 from .replay import (
     DOUBLE_REPRESENTATIONS,
     EVEN_STEP,
-    EXPECTED_SIGN_PAIRS,
     ODD_STEP,
     SMALL_IDENTITY_TABLE,
     SMALL_PRODUCTS,
@@ -34,12 +30,11 @@ from .replay import (
     ReplayResult,
     construction,
     displayed_identities,
-    double_representations_hold,
     padded_pairs,
     replay_script,
 )
 from .solver import DEFAULT_BUDGET, solve
-from .squares import Representation, UnsupportedKError, enumerate_representations
+from .squares import UnsupportedKError, enumerate_representations
 
 DEFAULT_BOUND = 300
 
@@ -78,37 +73,25 @@ class CaseReport:
         }
 
 
-def check_parametric(identity: ParametricIdentity, l_max: int) -> CaseReport:
-    """Exact validity of one parametric identity for every l up to l_max."""
-    checks: List[CheckResult] = []
+def check_parametric(identity: ParametricIdentity, l_max: int) -> CheckResult:
+    """Exact validity of one parametric identity: its two sides expand to the
+    same polynomial in l, and every l from the threshold to l_max gives
+    equal square sums of positive terms."""
     lhs_poly = identity.side_poly(identity.lhs)
     rhs_poly = identity.side_poly(identity.rhs)
-    checks.append(
-        CheckResult(
-            "polynomial-expansion",
-            lhs_poly == rhs_poly,
-            f"lhs {lhs_poly} vs rhs {rhs_poly}",
-        )
-    )
-    bad = []
+    detail = f"lhs {lhs_poly} vs rhs {rhs_poly}"
+    bad = None
     for l in range(identity.threshold, l_max + 1):
         lhs, rhs = identity.terms(l)
         if sum(x * x for x in lhs) != sum(x * x for x in rhs):
-            bad.append((l, "sum mismatch"))
+            bad = (l, "sum mismatch")
         elif any(x < 1 for x in lhs + rhs):
-            bad.append((l, "non-positive term"))
-    checks.append(
-        CheckResult(
-            f"values-{identity.threshold}..{l_max}",
-            not bad,
-            "" if not bad else f"first failure {bad[0]}",
-        )
-    )
-    return CaseReport(
-        case=f"parametric:{identity.name}",
-        k=0,
-        checks=tuple(checks),
-        verdict=True,
+            bad = (l, "non-positive term")
+        if bad is not None:
+            detail += f"; first failure {bad}"
+            break
+    return CheckResult(
+        f"parametric-{identity.name}", lhs_poly == rhs_poly and bad is None, detail
     )
 
 
@@ -313,29 +296,6 @@ def verify_case_k(k: int, bound: int, budget: int = DEFAULT_BUDGET) -> CaseRepor
     return _proof_route(f"{k}-squares", k, checks, manifest, bound, budget)
 
 
-def _two_equation_solutions() -> set:
-    """Exact solutions (f2, f3) of the padded double-representation system:
-    4 + (f2*f3)^2 = f2^2 + 4*f3^2  and  5 + 3*f3^2 = 8*f2^2.
-
-    Solved by eliminating f3^2 and factoring the resulting quadratic in
-    f2^2, entirely over exact rationals; each signed pair is then checked
-    against both equations.
-    """
-    # substitute v = (8u - 5)/3 into u*v + 4 = u + 4v, u = f2^2:
-    # 8u^2 - 40u + 32 = 0, i.e. u in {1, 4}
-    solutions = set()
-    for u in (Fraction(1), Fraction(4)):
-        v = (8 * u - 5) / 3
-        su = isqrt(u.numerator)
-        sv = isqrt(v.numerator)
-        for sa in (1, -1):
-            for sb in (1, -1):
-                pair = (gauss(sa * su), gauss(sb * sv))
-                if double_representations_hold(*pair):
-                    solutions.add(pair)
-    return solutions
-
-
 def _pair_check(
     name: str, first: SumOfSquares, second: SumOfSquares, what: str
 ) -> CheckResult:
@@ -348,51 +308,34 @@ def _pair_check(
 def verify_case_general(
     k: int, bound: int, budget: int = DEFAULT_BUDGET
 ) -> CaseReport:
-    """Checks for k >= 8: padded double representations, the exact
-    two-equation sign system, the semigroup construction, the small
-    identity table, the parametric families, then the shared proof
-    route."""
+    """Checks for k >= 8: padded double representations, the semigroup
+    construction, the small identity table, the parametric families, then
+    the shared proof route.  The sign pairs the 40/32 system allows are
+    solved by the replay's joint check alone."""
     if k < 8:
         raise UnsupportedKError("general case requires k >= 8")
     checks: List[CheckResult] = []
 
-    # (a) the 40 and 32 double representations, padded to k parts
+    # the 40 and 32 double representations, padded to k parts
     for name, first, second in padded_pairs(DOUBLE_REPRESENTATIONS, k):
         checks.append(_pair_check(name, first, second, "target"))
 
-    # (b) the two-equation system has exactly the expected sign pairs
-    got = _two_equation_solutions()
+    # the k-part representation of k^2 + k - 1: after its k - 1, a 2s and
+    # b 3s with 3a + 8b = 2k - 1, then spare ones.  The replay builds the
+    # same parts as a SumOfSquares, which checks their sum (a wrong one
+    # raises ValueError there).
+    parts = construction(k)
+    a, b, spare = (parts[1:].count(x) for x in (2, 3, 1))
     checks.append(
         CheckResult(
-            "sign-system",
-            got == EXPECTED_SIGN_PAIRS,
-            "solutions " + ",".join(sorted(f"({a},{b})" for a, b in got)),
+            "semigroup-2k-1",
+            3 * a + 8 * b == 2 * k - 1,
+            f"3*{a}+8*{b}={2 * k - 1}, spare ones {spare}",
         )
     )
+    checks.append(CheckResult("construction", True, f"parts {parts}"))
 
-    # (c) 2k-1 lands in the semigroup generated by 3 and 8
-    try:
-        a, b = represent_in_semigroup(2 * k - 1, 3, 8)
-        ok = k - a - b - 1 >= 0
-        checks.append(
-            CheckResult(
-                "semigroup-2k-1",
-                ok,
-                f"3*{a}+8*{b}={2 * k - 1}, spare ones {k - a - b - 1}",
-            )
-        )
-    except NonRepresentableError as exc:
-        checks.append(CheckResult("semigroup-2k-1", False, str(exc)))
-
-    # (d) the k-part representation of k^2 + k - 1
-    try:
-        parts = construction(k)
-        Representation(k * k + k - 1, parts)
-        checks.append(CheckResult("construction", True, f"parts {parts}"))
-    except (NonRepresentableError, ValueError) as exc:
-        checks.append(CheckResult("construction", False, str(exc)))
-
-    # (e) the small identity table pads to equal-target pairs
+    # the small identity table pads to equal-target pairs
     for base, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k):
         checks.append(_pair_check(f"identity-{base}", lhs, rhs, "padded target"))
     for n, m, l in SMALL_PRODUCTS:
@@ -404,16 +347,8 @@ def verify_case_general(
             )
         )
 
-    # (f) parametric identities
-    for identity in (ODD_STEP, EVEN_STEP):
-        rep = check_parametric(identity, 1000)
-        checks.append(
-            CheckResult(
-                f"parametric-{identity.name}",
-                bool(rep.all_passed),
-                "; ".join(c.detail for c in rep.checks if c.detail),
-            )
-        )
+    # the parametric identities
+    checks += [check_parametric(identity, 1000) for identity in (ODD_STEP, EVEN_STEP)]
 
     manifest = (
         "target:40",

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import multsquares.arith as arith_module
 import multsquares.constraints as constraints_module
 import multsquares.replay as replay_module
 import multsquares.squares as squares_module
@@ -31,6 +32,18 @@ def test_frobenius_envelope(capsys):
     assert env["result"]["frobenius"] == 13
     assert env["result"]["nonrepresentable"] == [1, 2, 4, 5, 7, 10, 13]
     assert set(env) == {"command", "elapsed_ms", "parameters", "result", "status"}
+
+
+def test_frobenius_above_limit_exits_2(capsys, monkeypatch):
+    def refuse(size):
+        raise AssertionError("the gap table must not be allocated")
+
+    # 1000 * 1003 - 1000 - 1003 = 1000997
+    monkeypatch.setattr(arith_module, "bytearray", refuse, raising=False)
+    code, out, err = run_cli("frobenius", "--a", "1000", "--b", "1003", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "Frobenius number must be at most 1000000" in err
 
 
 def test_frobenius_not_coprime_fails(capsys):
@@ -183,13 +196,15 @@ def test_dp_bound_above_limit_exits_2(capsys, monkeypatch):
     [
         ("5000", "1500", "k must be at most 500"),
         ("1000000", "2", "(n + 1) * (k + 1) must be at most 1500000"),
+        ("2000000", "4", "(n + 1) * (k + 1) must be at most 1500000"),
     ],
 )
 def test_repr_above_limits_exits_2(n, k, message, capsys, monkeypatch):
-    def refuse(n, k):
-        raise AssertionError("the count table must not be built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("neither the count table nor the list may be built")
 
     monkeypatch.setattr(squares_module, "_build_count_table", refuse)
+    monkeypatch.setattr(squares_module, "iter_representations", refuse)
     code, out, err = run_cli("repr", "--n", n, "--k", k, capsys=capsys)
     assert code == 2
     assert out == ""
@@ -244,17 +259,18 @@ def test_k_above_limit_exits_2(tmp_path, capsys, monkeypatch):
     [
         (("solve", "--budget", "-1"), "argument --budget: must be >= 0, got -1"),
         (("theorem", "--budget", "-5"), "argument --budget: must be >= 0, got -5"),
-        (("solve", "--seed-cap", "0"), "argument --seed-cap: must be >= 1, got 0"),
-        (("solve", "--rep-cap", "-1"), "argument --rep-cap: must be >= 0, got -1"),
-        (("check", "--values", "f.json", "--rep-cap", "-1"),
-         "argument --rep-cap: must be >= 0, got -1"),
         (("repr", "--n", "40", "--limit", "-1"),
          "argument --limit: must be >= 0, got -1"),
         (("repr", "--n", "40", "--limit", "x"),
          "argument --limit: invalid int value: 'x'"),
+        # the solver caps are module constants, not options
+        (("solve", "--seed-cap", "8"), "unrecognized arguments: --seed-cap"),
+        (("solve", "--rep-cap", "4"), "unrecognized arguments: --rep-cap"),
+        (("check", "--values", "f.json", "--rep-cap", "4"),
+         "unrecognized arguments: --rep-cap"),
     ],
-    ids=["solve-budget", "theorem-budget", "seed-cap", "solve-rep-cap",
-         "check-rep-cap", "limit", "limit-not-int"],
+    ids=["solve-budget", "theorem-budget", "limit", "limit-not-int",
+         "no-seed-cap", "no-solve-rep-cap", "no-check-rep-cap"],
 )
 def test_cap_out_of_range_exits_2(argv, message, capsys):
     command, *rest = argv

@@ -2,6 +2,7 @@
 
 import pytest
 
+import multsquares.constraints as constraints_module
 from multsquares.constraints import (
     Multiplicative,
     SumOfSquares,
@@ -46,8 +47,9 @@ def test_generation_k5_bound29_has_all_three_29_instances():
     assert (4, 2, 2, 2, 1) in reps29
 
 
-def test_generation_respects_cap():
-    capped = generate_constraints(5, 100, per_target_cap=2)
+def test_generation_respects_cap(monkeypatch):
+    monkeypatch.setattr(constraints_module, "REP_CAP", 2)
+    capped = generate_constraints(5, 100)
     for n in range(2, 101):
         count = sum(
             1 for c in capped if isinstance(c, SumOfSquares) and c.target == n

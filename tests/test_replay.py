@@ -4,7 +4,13 @@ import pytest
 
 import multsquares.solver as solver_module
 from multsquares.gaussian import gauss
-from multsquares.replay import Expectation, ReplayMismatchError, replay_script
+from multsquares.replay import (
+    EXPECTED_SIGN_PAIRS,
+    Expectation,
+    ReplayMismatchError,
+    double_representations_hold,
+    replay_script,
+)
 from multsquares.solver import SolverState
 from multsquares.constraints import SumOfSquares
 
@@ -81,7 +87,19 @@ def test_replay_k8_pair_block_and_construction():
     result = replay_script(8)
     got = claims_of(result, "double-representations-40-32")
     assert got[2]["mode"] == "within"
-    assert got["(2,3)"]["mode"] == "joint"
+    assert got["(2,3)"] == {
+        "variable": "(2,3)",
+        "mode": "joint",
+        "expected": "{(+-1,+-1),(+-2,+-3)}",
+        "got": "{(+-1,+-1),(+-2,+-3)}",
+    }
+    # the pairs the joint check expects are exactly the small integer
+    # solutions of the 40/32 equations
+    small = [gauss(x) for x in range(-6, 7) if x]
+    solutions = {
+        (a, b) for a in small for b in small if double_representations_hold(a, b)
+    }
+    assert solutions == EXPECTED_SIGN_PAIRS and len(solutions) == 8
     got = claims_of(result, "construction-k^2+k-1")
     assert got[2]["got"] == "{-2,2}"
     assert got[3]["got"] == "{-3,3}"

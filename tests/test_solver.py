@@ -216,8 +216,8 @@ TRACE_DIGESTS = {
     ("theorem", 5): "32a72aa7e447530dfeb45eb34478a7e19e79c7608e8390597b792e689f1b3846",
     ("theorem", 6): "0567ce5faf55f8f2d3618f2a397e6b2dbc07fc98ece0240f297703bb1a46a37b",
     ("theorem", 7): "5cd1d42e2042d4b49e979915387f9350856a0c158740ea13ee2b37cdfd19f03f",
-    ("theorem", 8): "33cc873f7dc614c63a9b60e5c19dd5d5a2632ae089d5427bcd6b9b101248ce55",
-    ("theorem", 13): "9475fd85a80f530e476c92df59723c1c801544bd197af4affcb7a92f3382ebf1",
+    ("theorem", 8): "41dc3f5aa75e02b5f6f7fcb7cdf676b16a153548a2b123159e9ab2ccd1a8eee5",
+    ("theorem", 13): "1060c6f3f98eceff3304a4c4156f2296bc0a0948069f853b7f8c5145d5f4f114",
 }
 
 

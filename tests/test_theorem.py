@@ -2,18 +2,17 @@
 
 import pytest
 
+import multsquares.replay as replay_module
 import multsquares.theorem as theorem_module
 from multsquares.arith import represent_in_semigroup
-from multsquares.gaussian import gauss
 from multsquares.certificate import check_step
-from multsquares.replay import ReplayMismatchError
+from multsquares.gaussian import gauss
+from multsquares.replay import EXPECTED_SIGN_PAIRS, ReplayMismatchError
 from multsquares.theorem import (
     EVEN_STEP,
     ODD_STEP,
-    EXPECTED_SIGN_PAIRS,
     NoWitnessError,
     ParametricIdentity,
-    _two_equation_solutions,
     check_parametric,
     find_witness,
     theorem_check,
@@ -32,16 +31,14 @@ def test_parametric_odd_values():
     lhs, rhs = ODD_STEP.terms(5)
     assert lhs == (11, 3) and rhs == (9, 7)
     assert 11**2 + 3**2 == 9**2 + 7**2 == 130
-    report = check_parametric(ODD_STEP, 100)
-    assert report.all_passed
+    assert check_parametric(ODD_STEP, 100).passed
 
 
 def test_parametric_even_values():
     lhs, rhs = EVEN_STEP.terms(6)
     assert lhs == (12, 1) and rhs == (8, 9)
     assert 12**2 + 1**2 == 8**2 + 9**2 == 145
-    report = check_parametric(EVEN_STEP, 100)
-    assert report.all_passed
+    assert check_parametric(EVEN_STEP, 100).passed
 
 
 def test_parametric_below_threshold_rejected():
@@ -49,8 +46,9 @@ def test_parametric_below_threshold_rejected():
     lhs, rhs = EVEN_STEP.terms(5)
     assert 0 in lhs + rhs
     small = ParametricIdentity("even-too-early", EVEN_STEP.lhs, EVEN_STEP.rhs, 5)
-    report = check_parametric(small, 10)
-    assert not report.all_passed
+    result = check_parametric(small, 10)
+    assert not result.passed
+    assert result.detail.endswith("; first failure (5, 'non-positive term')")
 
 
 def test_parametric_polynomial_expansion():
@@ -58,12 +56,6 @@ def test_parametric_polynomial_expansion():
     assert ODD_STEP.side_poly(ODD_STEP.rhs) == (5, 0, 5)
     assert EVEN_STEP.side_poly(EVEN_STEP.lhs) == (5, -10, 25)
     assert EVEN_STEP.side_poly(EVEN_STEP.rhs) == (5, -10, 25)
-
-
-def test_two_equation_solutions_exact():
-    assert _two_equation_solutions() == set(EXPECTED_SIGN_PAIRS)
-    assert (gauss(1), gauss(3)) not in EXPECTED_SIGN_PAIRS
-    assert len(EXPECTED_SIGN_PAIRS) == 8
 
 
 def test_verify_case_k4():
@@ -123,6 +115,27 @@ def test_unequal_identity_row_fails_its_check(monkeypatch):
     assert (row.passed, row.detail) == (False, "padded targets 32 and 35")
     assert report.all_passed is False
     assert [c.name for c in failed_checks(report)] == ["identity-28"]
+
+
+def test_wrong_construction_is_caught_by_the_replay(monkeypatch):
+    # (k-1)^2 + (k-1) ones sum to k^2 - k, not k^2 + k - 1; theorem check (d)
+    # reports the parts the replay builds, and the replay's SumOfSquares
+    # refuses them
+    monkeypatch.setattr(
+        replay_module, "construction", lambda k: (k - 1,) + (1,) * (k - 1)
+    )
+    with pytest.raises(ValueError, match="squares sum to 56, not 71"):
+        theorem_check(8, 60)
+
+
+def test_dropped_sign_pair_fails_the_replay(monkeypatch):
+    # the replay's joint check is the one solver of the 40/32 sign system
+    dropped = EXPECTED_SIGN_PAIRS - {(gauss(1), gauss(1))}
+    monkeypatch.setattr(replay_module, "EXPECTED_SIGN_PAIRS", dropped)
+    report = theorem_check(8, 60)
+    assert report.all_passed is False
+    assert [c.name for c in failed_checks(report)] == ["replay"]
+    assert "stage 'double-representations-40-32'" in report.checks[-1].detail
 
 
 def test_construction_arithmetic_k8():
@@ -331,4 +344,4 @@ def test_construction_and_parametric_exact_for_k_8_to_16():
         assert len(parts) == k
         assert sum(x * x for x in parts) == k * k + k - 1, k
     for identity in (ODD_STEP, EVEN_STEP):
-        assert check_parametric(identity, 1000).all_passed
+        assert check_parametric(identity, 1000).passed

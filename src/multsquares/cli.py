@@ -74,6 +74,11 @@ def _cmd_repr(args) -> (Any, bool):
     # the count's table limit refuses an n too large to enumerate, so the
     # count runs first
     total = squares.count_representations(args.n, args.k)
+    if args.limit is None and total > squares.MAX_LISTED:
+        raise ValueError(
+            f"{total} representations exceed the listing limit of"
+            f" {squares.MAX_LISTED}; pass --limit to list some of them"
+        )
     enum = squares.enumerate_representations(args.n, args.k, limit=args.limit)
     result = {
         "n": args.n,

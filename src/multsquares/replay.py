@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
@@ -20,16 +20,25 @@ from .squares import MAX_K, enumerate_representations, is_dubouis_exception
 
 
 class ReplayMismatchError(AssertionError):
-    """The engine's candidate set differs from the scripted claim."""
+    """The engine's candidate set differs from the scripted claim; the
+    variable is one argument, or a tuple of them for a joint claim."""
 
-    def __init__(self, stage: str, variable: int, expected: str, got: str):
+    def __init__(
+        self,
+        stage: str,
+        variable: Union[int, Tuple[int, ...]],
+        expected: str,
+        got: str,
+    ):
         self.stage = stage
         self.variable = variable
         self.expected = expected
         self.got = got
-        super().__init__(
-            f"stage {stage!r}: f({variable}) expected {expected}, got {got}"
-        )
+        if isinstance(variable, int):
+            subject = f"f({variable})"
+        else:
+            subject = "(" + ",".join(f"f({v})" for v in variable) + ")"
+        super().__init__(f"stage {stage!r}: {subject} expected {expected}, got {got}")
 
 
 def _vset(*nums) -> frozenset:
@@ -589,6 +598,11 @@ def double_representations_hold(f2: GaussianRational, f3: GaussianRational) -> b
     return True
 
 
+def _format_pairs(pairs) -> str:
+    """A set of (f(2), f(3)) pairs as exact strings, sorted."""
+    return "{" + ",".join(sorted(f"({a},{b})" for a, b in pairs)) + "}"
+
+
 def _joint_pair_solutions(state: SolverState) -> set:
     """Pairs (a, b) from candidates(2) x candidates(3) satisfying both
     double-representation equations exactly."""
@@ -649,9 +663,9 @@ def replay_script(k: int, *, budget: int = DEFAULT_BUDGET) -> ReplayResult:
             if got != EXPECTED_SIGN_PAIRS:
                 raise ReplayMismatchError(
                     stage.name,
-                    0,
-                    "{(+-1,+-1),(+-2,+-3)}",
-                    "{" + ",".join(sorted(f"({a},{b})" for a, b in got)) + "}",
+                    (2, 3),
+                    _format_pairs(EXPECTED_SIGN_PAIRS),
+                    _format_pairs(got),
                 )
             claims.append(
                 {

@@ -350,8 +350,21 @@ class SolverState:
             if self._open[eq_id] == 0 and self._holds_pinned(eq):
                 self._equations[eq_id] = None  # retire: release its memory
                 continue
-            for var in eq.vars:
+            for var in self._revised(eq):
                 self._narrow_var(eq, var)
+
+    def _revised(self, eq: _Equation) -> Tuple[int, ...]:
+        """The unknowns of eq worth revising: the open ones (value set
+        unknown or of size > 1), or every unknown when none is open.  A
+        pinned unknown's revision can only empty it, and it is supported
+        whenever an open unknown's revision keeps a candidate, since that
+        candidate's supporting assignment holds the pinned value; an open
+        revision that keeps none raises first."""
+        values = self._values
+        open_vars = tuple(
+            v for v in eq.vars if values[v] is None or len(values[v]) > 1
+        )
+        return open_vars or eq.vars
 
     def _holds_pinned(self, eq: _Equation) -> bool:
         """Whether every unknown of eq holds one value and eq holds there.

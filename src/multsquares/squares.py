@@ -15,13 +15,18 @@ MAX_DP_BOUND = 10**6
 
 # largest k that enumeration, the replay and the constraint generator
 # accept; iter_representations is the one search that still recurses, once
-# per part above 1, so a k near Python's recursion limit could end in
-# RecursionError
+# per part above 1 and once per halving of even parts, so a k near Python's
+# recursion limit could end in RecursionError
 MAX_K = 500
 
 # largest count table, in coefficients (max n + 1) * (max k + 1); its build
 # time grows with the table, to a few seconds at this size
 MAX_COUNT_TABLE = 1_500_000
+
+# most representations `multsquares repr` lists without --limit; the count
+# (from the table above) can be far larger, e.g. 19,155,428 for n = 1000
+# and k = 50, and every listed one is built and printed
+MAX_LISTED = 10_000
 
 
 class UnsupportedKError(ValueError):
@@ -94,6 +99,19 @@ def iter_representations(
 ) -> Iterator[Tuple[int, ...]]:
     """Yield canonical part tuples in lexicographically decreasing order."""
     if n < k or k < 1:
+        return
+    # every part is even when k <= 3 and 4 | n, or k = 4 and 8 | n: x^2 mod 8
+    # is 0, 1 or 4, so odd parts leave such a sum at 1, 2 or 3 mod 4, or at
+    # 4 mod 8 (four odd ones).  Halve the parts while that holds.
+    scale = 1
+    while k <= 4 and n % (8 if k == 4 else 4) == 0:
+        n //= 4
+        scale *= 2
+        if max_part is not None:
+            max_part //= 2
+    if scale > 1:
+        for parts in iter_representations(n, k, max_part):
+            yield tuple(scale * x for x in parts)
         return
     hi = isqrt(n - (k - 1))
     if max_part is not None:

@@ -75,11 +75,21 @@ class CaseReport:
 
 def check_parametric(identity: ParametricIdentity, l_max: int) -> CheckResult:
     """Exact validity of one parametric identity: its two sides expand to the
-    same polynomial in l, and every l from the threshold to l_max gives
-    equal square sums of positive terms."""
+    same polynomial in l, and every l from the threshold on gives equal
+    square sums of positive terms.
+
+    Equal polynomials with every linear form a*l + b non-decreasing (a >= 0)
+    and positive at the threshold prove it for every such l.  Otherwise
+    each l from the threshold to l_max is checked, and the detail names
+    the first failure."""
     lhs_poly = identity.side_poly(identity.lhs)
     rhs_poly = identity.side_poly(identity.rhs)
     detail = f"lhs {lhs_poly} vs rhs {rhs_poly}"
+    if lhs_poly == rhs_poly and all(
+        a >= 0 and a * identity.threshold + b >= 1
+        for a, b in identity.lhs + identity.rhs
+    ):
+        return CheckResult(f"parametric-{identity.name}", True, detail)
     bad = None
     for l in range(identity.threshold, l_max + 1):
         lhs, rhs = identity.terms(l)

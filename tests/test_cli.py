@@ -211,6 +211,27 @@ def test_repr_above_limits_exits_2(n, k, message, capsys, monkeypatch):
     assert message in err
 
 
+def test_repr_without_limit_refuses_a_long_listing(capsys, monkeypatch):
+    # 19,155,428 representations: counted, never enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the representations may not be listed")
+
+    monkeypatch.setattr(squares_module, "iter_representations", refuse)
+    code, out, err = run_cli("repr", "--n", "1000", "--k", "50", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "19155428 representations exceed the listing limit" in err
+    assert "--limit" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli("repr", "--n", "1000", "--k", "50", "--limit", "5",
+                           capsys=capsys)
+    assert code == 0
+    env = parse(out)
+    assert env["result"]["count"] == 19155428
+    assert len(env["result"]["representations"]) == 5
+    assert env["result"]["truncated"] is True
+
+
 def test_solver_bound_above_limit_exits_2(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the solver must not start")

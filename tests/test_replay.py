@@ -2,6 +2,7 @@
 
 import pytest
 
+import multsquares.replay as replay_module
 import multsquares.solver as solver_module
 from multsquares.gaussian import gauss
 from multsquares.replay import (
@@ -188,6 +189,26 @@ def test_stage_mismatch_raises():
     assert err.value.variable == 4
     assert "{5}" in err.value.expected
     assert "{4}" in err.value.got
+
+
+def test_joint_check_mismatch_names_the_compared_set(monkeypatch):
+    # the expectation printed is the set compared, and the claim is about
+    # the pair (f(2), f(3))
+    dropped = EXPECTED_SIGN_PAIRS - {(gauss(1), gauss(1))}
+    monkeypatch.setattr(replay_module, "EXPECTED_SIGN_PAIRS", dropped)
+    with pytest.raises(ReplayMismatchError) as err:
+        replay_script(8)
+    expected = "{(-1,-1),(-1,1),(-2,-3),(-2,3),(1,-1),(2,-3),(2,3)}"
+    got = "{(-1,-1),(-1,1),(-2,-3),(-2,3),(1,-1),(1,1),(2,-3),(2,3)}"
+    assert (err.value.stage, err.value.variable) == (
+        "double-representations-40-32",
+        (2, 3),
+    )
+    assert (err.value.expected, err.value.got) == (expected, got)
+    assert str(err.value) == (
+        f"stage 'double-representations-40-32': (f(2),f(3)) expected {expected},"
+        f" got {got}"
+    )
 
 
 def test_replay_result_serializes():

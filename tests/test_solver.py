@@ -301,6 +301,42 @@ def test_settled_equation_that_fails_raises_as_narrowing_does():
     assert err.value.constraint == "f(29)=f(4)^2+f(2)^2+f(2)^2+f(2)^2+f(1)^2"
 
 
+def test_open_unknown_empties_before_pinned_ones():
+    # with f(4) open, only f(4) is revised, so its set is the one that
+    # empties; the pinned f(2) is never revised
+    state = SolverState(5, 29)
+    for v, xs in {29: {30}, 2: {2}, 4: {4, -4}}.items():
+        state._values[v] = frozenset(xs)
+        state._squares[v] = frozenset(x * x for x in xs)
+    state.add_constraints([SumOfSquares(29, (4, 2, 2, 2, 1))])
+    with pytest.raises(ContradictionError) as err:
+        state.propagate()
+    assert err.value.variable == 4
+    assert err.value.constraint == "f(29)=f(4)^2+f(2)^2+f(2)^2+f(2)^2+f(1)^2"
+
+
+def test_pinned_unknowns_of_open_equations_are_not_revised(monkeypatch):
+    calls = []
+    original = SolverState._narrow_var
+
+    def is_open(state, v):
+        values = state._values[v]
+        return values is None or len(values) > 1
+
+    def recording(state, eq, var):
+        pinned = not is_open(state, var)
+        calls.append(pinned and any(is_open(state, v) for v in eq.vars))
+        return original(state, eq, var)
+
+    monkeypatch.setattr(SolverState, "_narrow_var", recording)
+    solve(4, 60)
+    state = replay_script(13).state
+    assert induction_sweep(state, 2, 200) is None
+    assert theorem_check(8, 60).all_passed
+    assert len(calls) > 1000
+    assert not any(calls)
+
+
 def test_settled_equation_retires(monkeypatch):
     narrowed = []
     original = SolverState._narrow_var

@@ -1,6 +1,8 @@
 """Representation decision, enumeration, counting, and exceptional sets."""
 
 import random
+from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 
@@ -163,6 +165,24 @@ def test_max_part_filter():
         max(p) <= 6 for p in
         (r.parts for r in enumerate_representations(42, 5, max_part=6).representations)
     )
+
+
+def test_even_descent_matches_brute_force_order_included():
+    # k <= 3 with 4 | n, and k = 4 with 8 | n, search n / 4 and double the
+    # parts; the sequence must be the full search's, in the same order
+    top = 300
+    for k in range(1, 5):
+        by_target = {}
+        # non-increasing tuples from a decreasing range come out in
+        # lexicographically decreasing order
+        for parts in combinations_with_replacement(range(isqrt(top), 0, -1), k):
+            by_target.setdefault(sum(x * x for x in parts), []).append(parts)
+        for n in range(1, top + 1):
+            reps = by_target.get(n, [])
+            for max_part in (None, 1, 2, 3, 7, 20):
+                want = [p for p in reps if max_part is None or p[0] <= max_part]
+                got = list(iter_representations(n, k, max_part))
+                assert got == want, (n, k, max_part)
 
 
 def test_dubouis_closed_forms():

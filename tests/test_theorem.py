@@ -27,6 +27,11 @@ def failed_checks(report):
     return [c for c in report.checks if not c.passed]
 
 
+FALLING = ParametricIdentity("falling", ((-1, 600), (1, 0)), ((-1, 600), (1, 0)), 1)
+TOO_EARLY = ParametricIdentity("even-too-early", EVEN_STEP.lhs, EVEN_STEP.rhs, 5)
+UNEQUAL = ParametricIdentity("unequal", ((1, 1), (1, 0)), ((1, 0), (1, 0)), 1)
+
+
 def test_parametric_odd_values():
     lhs, rhs = ODD_STEP.terms(5)
     assert lhs == (11, 3) and rhs == (9, 7)
@@ -45,10 +50,50 @@ def test_parametric_below_threshold_rejected():
     # at l = 5 the even family produces a zero term
     lhs, rhs = EVEN_STEP.terms(5)
     assert 0 in lhs + rhs
-    small = ParametricIdentity("even-too-early", EVEN_STEP.lhs, EVEN_STEP.rhs, 5)
-    result = check_parametric(small, 10)
+    result = check_parametric(TOO_EARLY, 10)
     assert not result.passed
     assert result.detail.endswith("; first failure (5, 'non-positive term')")
+
+
+def _parametric_by_loop(identity, l_max):
+    """(passed, detail) from checking every l from the threshold to l_max."""
+    lhs_poly = identity.side_poly(identity.lhs)
+    rhs_poly = identity.side_poly(identity.rhs)
+    detail = f"lhs {lhs_poly} vs rhs {rhs_poly}"
+    for l in range(identity.threshold, l_max + 1):
+        lhs, rhs = identity.terms(l)
+        if sum(x * x for x in lhs) != sum(x * x for x in rhs):
+            return False, f"{detail}; first failure {(l, 'sum mismatch')}"
+        if any(x < 1 for x in lhs + rhs):
+            return False, f"{detail}; first failure {(l, 'non-positive term')}"
+    return lhs_poly == rhs_poly, detail
+
+
+@pytest.mark.parametrize(
+    "identity", [ODD_STEP, EVEN_STEP, TOO_EARLY, FALLING, UNEQUAL], ids=lambda i: i.name
+)
+@pytest.mark.parametrize("l_max", [3, 10, 500, 1000])
+def test_parametric_proof_agrees_with_the_loop(identity, l_max):
+    result = check_parametric(identity, l_max)
+    assert (result.passed, result.detail) == _parametric_by_loop(identity, l_max)
+
+
+def test_parametric_proof_checks_no_value_of_l(monkeypatch):
+    def refuse(self, l):
+        raise AssertionError("a proved family is not checked l by l")
+
+    monkeypatch.setattr(ParametricIdentity, "terms", refuse)
+    for identity in (ODD_STEP, EVEN_STEP):
+        assert check_parametric(identity, 10**12).passed
+
+
+def test_parametric_falling_form_fails_once_it_reaches_zero():
+    # the proof needs every form non-decreasing, so a falling one is checked
+    # l by l: its term 600 - l is positive up to l_max = 500, zero at 600
+    assert check_parametric(FALLING, 500).passed
+    result = check_parametric(FALLING, 1000)
+    assert not result.passed
+    assert result.detail.endswith("; first failure (600, 'non-positive term')")
 
 
 def test_parametric_polynomial_expansion():

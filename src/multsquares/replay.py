@@ -16,7 +16,7 @@ from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
 from .gaussian import ONE, ZERO, GaussianRational, gauss
 from .solver import DEFAULT_BUDGET, SolverState, TraceStep, induction_sweep
-from .squares import MAX_K, enumerate_representations, is_dubouis_exception
+from .squares import MAX_K, is_dubouis_exception, iter_representations
 
 
 class ReplayMismatchError(AssertionError):
@@ -461,14 +461,6 @@ ODD_STEP = ParametricIdentity("odd-step", ((2, 1), (1, -2)), ((2, -1), (1, 2)), 
 EVEN_STEP = ParametricIdentity("even-step", ((2, 0), (1, -5)), ((2, -4), (1, 3)), 6)
 
 
-def _witness_rep(target: int, k: int, max_part: int) -> Optional[Tuple[int, ...]]:
-    """One k-square representation of target with parts <= max_part."""
-    enum = enumerate_representations(target, k, limit=1, max_part=max_part)
-    if not enum.representations:
-        return None
-    return enum.representations[0].parts
-
-
 def _sign_witness(
     k: int, q: int, max_part: int
 ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
@@ -477,8 +469,10 @@ def _sign_witness(
     m = k + 1
     while True:
         if gcd(m, q) == 1 and not is_dubouis_exception(m, k):
-            low = _witness_rep(m, k, max_part)
-            high = None if low is None else _witness_rep(q * m, k, max_part)
+            low = next(iter_representations(m, k, max_part), None)
+            high = None if low is None else next(
+                iter_representations(q * m, k, max_part), None
+            )
             if high is not None:
                 return m, low, high
         m += 1

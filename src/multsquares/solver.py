@@ -42,7 +42,7 @@ from .constraints import (
     sos_rhs,
 )
 from .gaussian import ONE, ZERO, GaussianRational, Rational, _norm, fraction_sqrt
-from .squares import enumerate_representations
+from .squares import iter_representations
 
 DEFAULT_BUDGET = 5_000_000
 # largest candidate set a narrowing may store; a larger one is not stored
@@ -751,11 +751,10 @@ def pin_by_induction(state: SolverState, n: int) -> SolverState:
     if n < 3:
         raise NoSmallRepresentationError(n, n * (n - 1))
     target = n * (n - 1)
-    enum = enumerate_representations(target, state.k, limit=1, max_part=n - 1)
-    if not enum.representations:
+    parts = next(iter_representations(target, state.k, n - 1), None)
+    if parts is None:
         raise NoSmallRepresentationError(n, target)
-    rep = enum.representations[0]
-    sos = SumOfSquares(target, rep.parts)
+    sos = SumOfSquares(target, parts)
     mult = Multiplicative(target, n - 1, n)
     state._add_equation(defining_poly(sos_rhs(sos), target), sos.label(), "sum", target)
     state._add_equation(

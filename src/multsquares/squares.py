@@ -14,9 +14,9 @@ from typing import Iterator, List, Optional, Tuple
 MAX_DP_BOUND = 10**6
 
 # largest k that enumeration, the replay and the constraint generator
-# accept; iter_representations is the one search that still recurses, once
-# per part above 1 and once per halving of even parts, so a k near Python's
-# recursion limit could end in RecursionError
+# accept; no search recurses, but iter_representations still opens one
+# frame per part above 1, so lifting this waits for a search on the excess
+# n - k, whose depth is at most (n - k) / 3
 MAX_K = 500
 
 # largest count table, in coefficients (max n + 1) * (max k + 1); its build
@@ -97,39 +97,48 @@ _count_memo: dict = {}
 def iter_representations(
     n: int, k: int, max_part: Optional[int] = None
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield canonical part tuples in lexicographically decreasing order."""
-    if n < k or k < 1:
-        return
-    # every part is even when k <= 3 and 4 | n, or k = 4 and 8 | n: x^2 mod 8
-    # is 0, 1 or 4, so odd parts leave such a sum at 1, 2 or 3 mod 4, or at
-    # 4 mod 8 (four odd ones).  Halve the parts while that holds.
+    """Yield canonical part tuples in lexicographically decreasing order.
+
+    Depth-first, largest part first, on an explicit stack whose frames are
+    [target left, parts left, next part, scale], so no k can exhaust the
+    recursion limit.  parts[i] is the scaled part that frame i last chose;
+    the level opened below a chosen part x gets x as its largest part."""
+    parts: List[int] = []
+    stack: List[list] = []
+    mx = n if max_part is None else max_part
     scale = 1
-    while k <= 4 and n % (8 if k == 4 else 4) == 0:
-        n //= 4
-        scale *= 2
-        if max_part is not None:
-            max_part //= 2
-    if scale > 1:
-        for parts in iter_representations(n, k, max_part):
-            yield tuple(scale * x for x in parts)
-        return
-    hi = isqrt(n - (k - 1))
-    if max_part is not None:
-        hi = min(hi, max_part)
-    if n == k:  # all ones is the only representation: no frame per part
-        if hi >= 1:
-            yield (1,) * k
-        return
-    if k == 1:
-        r = isqrt(n)
-        if r * r == n and r <= hi:
-            yield (r,)
-        return
-    for x in range(hi, 0, -1):
-        if k * x * x < n:
-            break
-        for rest in iter_representations(n - x * x, k - 1, x):
-            yield (x,) + rest
+    while True:
+        # every part is even when k <= 3 and 4 | n, or k = 4 and 8 | n: x^2
+        # mod 8 is 0, 1 or 4, so odd parts leave such a sum at 1, 2 or 3
+        # mod 4, or at 4 mod 8 (four odd ones).  Halve the parts while that
+        # holds.
+        while 1 <= k <= 4 and n >= k and n % (8 if k == 4 else 4) == 0:
+            n //= 4
+            scale *= 2
+            mx //= 2
+        if n >= k >= 1:
+            hi = min(isqrt(n - (k - 1)), mx)
+            if n == k:  # all ones is the only representation: no frame per part
+                if hi >= 1:
+                    yield (*parts, *(scale,) * k)
+            elif k == 1:
+                if hi >= 1 and hi * hi == n:
+                    yield (*parts, scale * hi)
+            # Legendre: no sum of three squares is 7 mod 8, and the descent
+            # has left n with no factor 4
+            elif k != 3 or n % 8 != 7:
+                stack.append([n, k, hi, scale])
+        while stack:
+            n, k, x, scale = frame = stack[-1]
+            if x >= 1 and k * x * x >= n:
+                break
+            stack.pop()
+        else:
+            return
+        frame[2] = x - 1
+        del parts[len(stack) - 1:]
+        parts.append(scale * x)
+        n, k, mx = n - x * x, k - 1, x
 
 
 def enumerate_representations(

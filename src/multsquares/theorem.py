@@ -34,7 +34,7 @@ from .replay import (
     replay_script,
 )
 from .solver import DEFAULT_BUDGET, solve
-from .squares import UnsupportedKError, enumerate_representations
+from .squares import UnsupportedKError, iter_representations
 
 DEFAULT_BOUND = 300
 
@@ -183,9 +183,9 @@ def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]
     That fallback visits at most FALLBACK_NODES search nodes in all.
     Raises NoWitnessError naming each m tried and why it failed."""
     target = n * (n - 1)
-    enum = enumerate_representations(target, k, limit=1, max_part=n - 1)
-    if enum.representations:
-        return n - 1, enum.representations[0].parts
+    parts = next(iter_representations(target, k, n - 1), None)
+    if parts is not None:
+        return n - 1, parts
     tried = [f"m={n - 1}: {target} has no representation with parts below {n}"]
     others = [
         m for m in sorted(pinned) if n * m >= k and gcd(n, m) == 1 and m != n - 1
@@ -281,10 +281,7 @@ def verify_case_k4(bound: int, *, budget: int = DEFAULT_BUDGET) -> CaseReport:
     checks, manifest = _check_displayed(4)
     bad = []
     for m in range(1, DOUBLING_MAX_M + 1):
-        target = 10 * 4**m
-        limit = 2 * 4**m - 1
-        enum = enumerate_representations(target, 4, limit=1, max_part=limit)
-        if not enum.representations:
+        if next(iter_representations(10 * 4**m, 4, 2 * 4**m - 1), None) is None:
             bad.append(m)
     checks.append(
         CheckResult(

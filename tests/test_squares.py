@@ -149,6 +149,7 @@ def test_large_k_is_decided_without_recursion():
     assert not is_representable(1502, 1500)
     with pytest.raises(ValueError, match="k must be at most 500"):
         enumerate_representations(5000, 1500)
+    assert list(iter_representations(6000, 1500, 2)) == [(2,) * 1500]
 
 
 def test_monotone_padding_property():
@@ -167,11 +168,13 @@ def test_max_part_filter():
     )
 
 
-def test_even_descent_matches_brute_force_order_included():
+def test_descent_and_legendre_skip_match_brute_force_order_included():
     # k <= 3 with 4 | n, and k = 4 with 8 | n, search n / 4 and double the
-    # parts; the sequence must be the full search's, in the same order
+    # parts, and 3 parts left for a target 7 mod 8 search nothing; with
+    # k = 5 and 6 both run below the top level.  The sequence must be the
+    # full search's, in the same order
     top = 300
-    for k in range(1, 5):
+    for k in range(1, 7):
         by_target = {}
         # non-increasing tuples from a decreasing range come out in
         # lexicographically decreasing order

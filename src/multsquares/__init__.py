@@ -25,7 +25,7 @@ from .solver import (
     BudgetExceededError,
     ContradictionError,
     MissingValueError,
-    NoSmallRepresentationError,
+    NoWitnessError,
     SolverReport,
     SolverState,
     TraceStep,

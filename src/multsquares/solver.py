@@ -21,9 +21,11 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from math import gcd, isqrt
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .arith import factorize
+from .certificate import check_step
 from .constraints import (
     Constraint,
     Monomial,
@@ -78,15 +80,9 @@ class MissingValueError(Exception):
         super().__init__(f"no value supplied for f({prime_power})")
 
 
-class NoSmallRepresentationError(Exception):
-    """n(n-1) has no k-square representation with all parts below n."""
-
-    def __init__(self, n: int, target: int):
-        self.n = n
-        self.target = target
-        super().__init__(
-            f"{target} has no representation with parts below {n}"
-        )
+class NoWitnessError(Exception):
+    """No certificate step was found for n, or check_step rejected the one
+    found; the message names each m tried and why it failed."""
 
 
 @dataclass(frozen=True)
@@ -233,6 +229,9 @@ class SolverState:
         self.trace: List[TraceStep] = []
         self._values: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
         self._squares: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
+        # the n whose value set is {n}; _set, the only writer of values,
+        # keeps it, so a lookup costs O(1) and the certificate reads it whole
+        self.pinned: Set[int] = {1}
         # a retired equation's slot holds None, so ids stay list indices
         self._equations: List[Optional[_Equation]] = []
         self._eq_keys: set = set()
@@ -258,7 +257,7 @@ class SolverState:
         return _gaussian_set(self._squares.get(n))
 
     def is_pinned(self, n: int) -> bool:
-        return self._values.get(n) == frozenset({n})
+        return n in self.pinned
 
     # -- construction -------------------------------------------------------
 
@@ -470,7 +469,7 @@ class SolverState:
                 remaining.remove(c)
             if not remaining:
                 return
-        self._set(var, view, frozenset(survivors), eq, self._value_rule(eq, var))
+        self._set(var, view, frozenset(survivors), eq.label, self._value_rule(eq, var))
 
     def _create_from_unknown(self, eq, var, others, combos) -> None:
         """Solve eq for an unknown var as a polynomial of degree <= 2 in
@@ -525,14 +524,14 @@ class SolverState:
             if not val_acc:
                 raise ContradictionError(var, eq.label)
             if len(val_acc) <= SET_CAP:
-                self._set(var, "value", frozenset(val_acc), eq, rule)
+                self._set(var, "value", frozenset(val_acc), eq.label, rule)
                 return
         if sq_ok:
             allowed = frozenset(sq_acc) if sqs is None else sqs & sq_acc
             if not allowed:
                 raise ContradictionError(var, eq.label)
             if len(allowed) <= SET_CAP:
-                self._set(var, "square", allowed, eq, rule)
+                self._set(var, "square", allowed, eq.label, rule)
 
     @staticmethod
     def _value_rule(eq: _Equation, var: int) -> str:
@@ -549,27 +548,27 @@ class SolverState:
         var: int,
         view: str,
         new: FrozenSet[Rational],
-        eq: Optional[_Equation],
+        label: str,
         rule: str,
     ) -> None:
-        """Narrow one view of var to new.  A value set also fixes the
-        square image; a square set (made only while the values are unknown)
-        whose roots are all rational fixes the values through the rule
-        "square-root"."""
+        """Narrow one view of var to new, recording the step under label.
+        A value set also fixes the square image; a square set (made only
+        while the values are unknown) whose roots are all rational fixes the
+        values through the rule "square-root"."""
         store = self._values if view == "value" else self._squares
         old = store.get(var)
         if old is not None and not new < old:
             return
         if not new:
-            raise ContradictionError(var, eq.label if eq else rule)
+            raise ContradictionError(var, label)
         self.trace.append(
-            TraceStep(
-                eq.label if eq else rule, var, view, _fmt_set(old), _fmt_set(new), rule
-            )
+            TraceStep(label, var, view, _fmt_set(old), _fmt_set(new), rule)
         )
         store[var] = new
         self._touch(var)
         if view == "value":
+            if new == {var}:
+                self.pinned.add(var)
             if old is None:
                 for eq_id in self._var_eqs.get(var, ()):
                     self._open[eq_id] -= 1
@@ -586,7 +585,7 @@ class SolverState:
                 return
             roots.extend(ws)
         if len(roots) <= SET_CAP:
-            self._set(var, "value", frozenset(roots), eq, "square-root")
+            self._set(var, "value", frozenset(roots), label, "square-root")
 
     # -- elimination on stalls ------------------------------------------------
 
@@ -735,38 +734,146 @@ class SolverReport:
         }
 
 
-def pin_by_induction(state: SolverState, n: int) -> SolverState:
-    """Inject the n(n-1) step for one n and propagate.
+# -- the n(n-1) induction -----------------------------------------------------
+#
+# One step rests on the lemma checked in multsquares.certificate: m pinned,
+# gcd(n, m) = 1 and n*m a sum of k squares of pinned parts give f(n) = n.
+# find_witness searches for the witness and check_step confirms it, so no
+# pin of the induction rests on the search or on the engine's evaluator.
 
-    The step is two equations: one representation of n(n-1) with every
-    part below n, and f(n(n-1)) = f(n-1) f(n).  Given f(m) = m for all
-    m < n, the sum pins f(n(n-1)) and the product then pins f(n); a split
-    form or a pairing of them would hold only pinned unknowns, so none is
-    derived and neither joins the pairing registry.  Both equations are
-    valid instances regardless, so the step is always sound; without that
-    precondition it may deduce less than add_constraints would from the
-    same two constraints.  Its one caller in the package, induction_sweep,
-    meets it: it steps n upward and stops at the first n left unpinned.
-    """
-    if n < 3:
-        raise NoSmallRepresentationError(n, n * (n - 1))
+# search nodes the coprime fallback may visit for one n, over every m it tries
+FALLBACK_NODES = 10_000
+
+# failed m a NoWitnessError lists before it only counts the rest
+SHOWN_ATTEMPTS = 6
+
+
+def _excess_parts(
+    excess: int, terms: int, pinned: Set[int], nodes: int
+) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """At most `terms` pinned x >= 2, non-increasing, whose x^2 - 1 sum to
+    excess (None if none is found), and what is left of the `nodes` the
+    search may visit, one per frame.  Depth-first, largest x first, on an
+    explicit stack whose frames are [next index into xs, excess left, terms
+    left]."""
+    if nodes == 0:
+        return None, 0
+    xs = [x for x in range(isqrt(excess + 1), 1, -1) if x in pinned]
+    cost = [x * x - 1 for x in xs]
+    chosen: List[int] = []
+    frames = [[0, excess, terms]]
+    nodes -= 1
+    while frames:
+        frame = frames[-1]
+        j, left, room = frame
+        if left == 0:
+            return tuple(xs[i] for i in chosen), nodes
+        while j < len(xs) and cost[j] > left:
+            j += 1
+        if j == len(xs) or room * cost[j] < left:
+            frames.pop()
+            if chosen:
+                chosen.pop()
+        elif nodes == 0:
+            break
+        else:
+            nodes -= 1
+            frame[0] = j + 1
+            chosen.append(j)
+            frames.append([j, left - cost[j], room - 1])
+    return None, nodes
+
+
+def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]]:
+    """A witness (m, parts) for f(n) = n under the lemma of
+    multsquares.certificate, parts non-increasing.
+
+    Requires all of 1..n-1 to be pinned, as the order of certify_induction
+    and induction_sweep ensures; without that the m = n - 1 witness may
+    name an unpinned argument, which check_step rejects.  First m = n - 1:
+    any k-square representation of n(n-1) with parts below n will do.  Then
+    each other pinned m coprime to n with n*m >= k, smallest first: n*m - k
+    written as at most k terms x^2 - 1 over pinned x >= 2, the other parts
+    being 1.  That fallback visits at most FALLBACK_NODES search nodes in
+    all.
+    Raises NoWitnessError naming each m tried and why it failed."""
     target = n * (n - 1)
-    parts = next(iter_representations(target, state.k, n - 1), None)
-    if parts is None:
-        raise NoSmallRepresentationError(n, target)
-    sos = SumOfSquares(target, parts)
-    mult = Multiplicative(target, n - 1, n)
-    state._add_equation(defining_poly(sos_rhs(sos), target), sos.label(), "sum", target)
-    state._add_equation(
-        defining_poly(mult_rhs(mult), target), mult.label(), "product", target
-    )
-    return state.propagate()
+    parts = next(iter_representations(target, k, n - 1), None)
+    if parts is not None:
+        return n - 1, parts
+    tried = [f"m={n - 1}: {target} has no representation with parts below {n}"]
+    others = [
+        m for m in sorted(pinned) if n * m >= k and gcd(n, m) == 1 and m != n - 1
+    ]
+    if not others:
+        tried.append(f"no other pinned m is coprime to {n} with {n}*m >= {k}")
+    nodes = FALLBACK_NODES
+    for m in others:
+        excess = n * m - k
+        parts, nodes = _excess_parts(excess, k, pinned, nodes)
+        if parts is not None:
+            return m, parts + (1,) * (k - len(parts))
+        sums = f"{excess} = {n}*{m}-{k} as at most {k} terms x^2-1 over pinned x >= 2"
+        if nodes == 0:
+            tried.append(f"m={m}: search for {sums} stopped at {FALLBACK_NODES} nodes")
+            break
+        tried.append(f"m={m}: no way to write {sums}")
+    if len(tried) > SHOWN_ATTEMPTS:
+        tried[SHOWN_ATTEMPTS:] = [f"{len(tried) - SHOWN_ATTEMPTS} more failed"]
+    raise NoWitnessError("; ".join(tried))
+
+
+def _checked_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]]:
+    """find_witness's witness (m, parts) for n, once check_step has accepted
+    it.  Raises NoWitnessError when none is found or the one found is
+    rejected."""
+    m, parts = find_witness(n, k, pinned)
+    fault = check_step(n, m, parts, k, pinned)
+    if fault is not None:
+        raise NoWitnessError(f"certificate rejected: {fault}")
+    return m, parts
+
+
+def certify_induction(
+    k: int, pinned: Set[int], bound: int
+) -> Optional[Tuple[int, str]]:
+    """Certify f(n) = n for n = 2..bound in order, adding each n to pinned:
+    an n already pinned is skipped, any other needs a checked witness.
+    Returns the first n left uncertified with the reason, or None.  Since
+    it stops there, all of 1..n-1 are pinned whenever find_witness is
+    called for n."""
+    for n in range(2, bound + 1):
+        if n in pinned:
+            continue
+        try:
+            _checked_witness(n, k, pinned)
+        except NoWitnessError as exc:
+            return n, str(exc)
+        pinned.add(n)
+    return None
+
+
+def pin_by_induction(state: SolverState, n: int) -> SolverState:
+    """Pin f(n) = n by one checked certificate step over state.pinned.
+
+    The pin is a single trace step, rule "certified", whose label names
+    n*m and the parts.  It adds no equation and does not propagate: the
+    equations on f(n) wait in the queue for the next propagate.  Raises
+    NoWitnessError, with the state unchanged, when no witness is found or
+    check_step rejects the one found.  find_witness needs all of 1..n-1
+    pinned, as induction_sweep's order ensures."""
+    m, parts = _checked_witness(n, state.k, state.pinned)
+    label = f"induction({n}): {n}*{m}={n * m}=" + "+".join(f"{x}^2" for x in parts)
+    values = state._values.get(n)
+    new = frozenset({n}) if values is None else values & {n}
+    state._set(n, "value", new, label, "certified")
+    return state
 
 
 def induction_sweep(
     state: SolverState, lo: int, hi: int
 ) -> Optional[Tuple[int, str]]:
-    """Pin lo..hi in order by the n(n-1) step; return the first n left
+    """Pin lo..hi in order by pin_by_induction; return the first n left
     unpinned with the reason, or None.  Each step needs f(m) = m for every
     m < n, so nothing past that n is attempted."""
     for n in range(lo, hi + 1):
@@ -774,10 +881,8 @@ def induction_sweep(
             continue
         try:
             pin_by_induction(state, n)
-        except NoSmallRepresentationError as exc:
+        except NoWitnessError as exc:
             return n, str(exc)
-        if not state.is_pinned(n):
-            return n, "induction step did not pin"
     return None
 
 

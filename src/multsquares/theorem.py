@@ -14,26 +14,22 @@ after the replay, so the propagation budget bounds the replay only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from .certificate import check_step
-from .constraints import MAX_SOLVER_BOUND, Multiplicative, SumOfSquares
+from .constraints import MAX_SOLVER_BOUND, SumOfSquares
 from .replay import (
     DOUBLE_REPRESENTATIONS,
     EVEN_STEP,
     ODD_STEP,
     SMALL_IDENTITY_TABLE,
-    SMALL_PRODUCTS,
     ParametricIdentity,
     ReplayMismatchError,
-    ReplayResult,
     construction,
     displayed_identities,
     padded_pairs,
     replay_script,
 )
-from .solver import DEFAULT_BUDGET, solve
+from .solver import DEFAULT_BUDGET, certify_induction, solve
 from .squares import UnsupportedKError, iter_representations
 
 DEFAULT_BOUND = 300
@@ -115,121 +111,6 @@ def _check_displayed(k: int) -> Tuple[List[CheckResult], Tuple[str, ...]]:
     return checks, tuple(f"target:{c.target}" for c in shown)
 
 
-# search nodes the coprime fallback may visit for one n, over every m it tries
-FALLBACK_NODES = 10_000
-
-# failed m a NoWitnessError lists before it only counts the rest
-SHOWN_ATTEMPTS = 6
-
-
-class NoWitnessError(Exception):
-    """No certificate step was found for n; the message names each m tried
-    and why it failed."""
-
-
-def _replay_pinned(replayed: ReplayResult) -> Set[int]:
-    """The replay's pinned set: 1, and every variable a narrowing step of
-    its trace touched that ended pinned (no other variable can be)."""
-    state = replayed.state
-    return {1} | {s.variable for s in replayed.steps if state.is_pinned(s.variable)}
-
-
-def _excess_parts(
-    excess: int, terms: int, pinned: Set[int], nodes: int
-) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """At most `terms` pinned x >= 2, non-increasing, whose x^2 - 1 sum to
-    excess (None if none is found), and what is left of the `nodes` the
-    search may visit, one per frame.  Depth-first, largest x first, on an
-    explicit stack whose frames are [next index into xs, excess left, terms
-    left]."""
-    if nodes == 0:
-        return None, 0
-    xs = [x for x in range(isqrt(excess + 1), 1, -1) if x in pinned]
-    cost = [x * x - 1 for x in xs]
-    chosen: List[int] = []
-    frames = [[0, excess, terms]]
-    nodes -= 1
-    while frames:
-        frame = frames[-1]
-        j, left, room = frame
-        if left == 0:
-            return tuple(xs[i] for i in chosen), nodes
-        while j < len(xs) and cost[j] > left:
-            j += 1
-        if j == len(xs) or room * cost[j] < left:
-            frames.pop()
-            if chosen:
-                chosen.pop()
-        elif nodes == 0:
-            break
-        else:
-            nodes -= 1
-            frame[0] = j + 1
-            chosen.append(j)
-            frames.append([j, left - cost[j], room - 1])
-    return None, nodes
-
-
-def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]]:
-    """A witness (m, parts) for f(n) = n under the lemma of
-    multsquares.certificate, parts non-increasing.
-
-    Requires all of 1..n-1 to be pinned, as certify_induction's order
-    ensures; without that the m = n - 1 witness may name an unpinned
-    argument, which check_step rejects.  First m = n - 1: any k-square
-    representation of n(n-1) with parts below n will do.  Then each other
-    pinned m coprime to n with n*m >= k, smallest first: n*m - k written as
-    at most k terms x^2 - 1 over pinned x >= 2, the other parts being 1.
-    That fallback visits at most FALLBACK_NODES search nodes in all.
-    Raises NoWitnessError naming each m tried and why it failed."""
-    target = n * (n - 1)
-    parts = next(iter_representations(target, k, n - 1), None)
-    if parts is not None:
-        return n - 1, parts
-    tried = [f"m={n - 1}: {target} has no representation with parts below {n}"]
-    others = [
-        m for m in sorted(pinned) if n * m >= k and gcd(n, m) == 1 and m != n - 1
-    ]
-    if not others:
-        tried.append(f"no other pinned m is coprime to {n} with {n}*m >= {k}")
-    nodes = FALLBACK_NODES
-    for m in others:
-        excess = n * m - k
-        parts, nodes = _excess_parts(excess, k, pinned, nodes)
-        if parts is not None:
-            return m, parts + (1,) * (k - len(parts))
-        sums = f"{excess} = {n}*{m}-{k} as at most {k} terms x^2-1 over pinned x >= 2"
-        if nodes == 0:
-            tried.append(f"m={m}: search for {sums} stopped at {FALLBACK_NODES} nodes")
-            break
-        tried.append(f"m={m}: no way to write {sums}")
-    if len(tried) > SHOWN_ATTEMPTS:
-        tried[SHOWN_ATTEMPTS:] = [f"{len(tried) - SHOWN_ATTEMPTS} more failed"]
-    raise NoWitnessError("; ".join(tried))
-
-
-def certify_induction(
-    k: int, pinned: Set[int], bound: int
-) -> Optional[Tuple[int, str]]:
-    """Certify f(n) = n for n = 2..bound in order, adding each n to pinned:
-    an n already pinned is skipped, any other gets a witness from
-    find_witness that check_step must accept.  Returns the first n left
-    uncertified with the reason, or None.  Since it stops there, all of
-    1..n-1 are pinned whenever find_witness is called for n."""
-    for n in range(2, bound + 1):
-        if n in pinned:
-            continue
-        try:
-            m, parts = find_witness(n, k, pinned)
-        except NoWitnessError as exc:
-            return n, str(exc)
-        fault = check_step(n, m, parts, k, pinned)
-        if fault is not None:
-            return n, f"certificate rejected: {fault}"
-        pinned.add(n)
-    return None
-
-
 def _proof_route(
     case: str,
     k: int,
@@ -252,7 +133,7 @@ def _proof_route(
     except ReplayMismatchError as exc:
         checks.append(CheckResult("replay", False, str(exc)))
     else:
-        pinned = _replay_pinned(replayed)
+        pinned = set(replayed.state.pinned)
         failure = certify_induction(k, pinned, bound)
         missing = [n for n in range(1, bound + 1) if n not in pinned]
         checks += [
@@ -345,14 +226,6 @@ def verify_case_general(
     # the small identity table pads to equal-target pairs
     for base, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k):
         checks.append(_pair_check(f"identity-{base}", lhs, rhs, "padded target"))
-    for n, m, l in SMALL_PRODUCTS:
-        checks.append(
-            CheckResult(
-                f"product-{n}",
-                Multiplicative(n, m, l).target == n,
-                f"{n}={m}*{l}",
-            )
-        )
 
     # the parametric identities
     checks += [check_parametric(identity, 1000) for identity in (ODD_STEP, EVEN_STEP)]

@@ -6,9 +6,11 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
+from multsquares.arith import factorize
 from multsquares.constraints import Multiplicative, SumOfSquares, generate_constraints
 from multsquares.gaussian import gauss
 from multsquares.replay import replay_script
@@ -16,8 +18,9 @@ from multsquares.solver import (
     BudgetExceededError,
     ContradictionError,
     MissingValueError,
-    NoSmallRepresentationError,
+    NoWitnessError,
     SolverState,
+    TraceStep,
     check_function,
     induction_sweep,
     pin_by_induction,
@@ -202,22 +205,22 @@ def test_identity_never_pruned():
 # pinned across changes
 TRACE_DIGESTS = {
     ("replay", 4): "7eb9eb4fd719a50ae6968ec9acc48e780bad42779834005eb62de6f1d39c3106",
-    ("replay", 5): "94b68cde5f065c4030a19abe86c5112372229598327760ad84e08fa6af081a94",
-    ("replay", 6): "bf0a8434cb8cc4646ff2866a7d1ea77c6bb767262342d6908788175914d0a6c2",
-    ("replay", 7): "cfa58d45872d117001b962538ec30a8b37909cd3a7d549edd6c6723a3753af41",
+    ("replay", 5): "cf5473217dd6ee5f84f1f3e95aef0d13dc08ed795031d780c335910dc791c988",
+    ("replay", 6): "fc7553593ff62f2eb2816601d59d33b0177a759b3064ee6a93ce8cbcc07822cd",
+    ("replay", 7): "8a5601e3d1fdc8aa04567166fc7f03614c765136a92e8fe0fd1cabf5c1a8f9a9",
     ("replay", 8): "6ba8cee2a68273f6149e402cdf38adb91ebde4971143f4c1df301e73e189a4e5",
     ("replay", 13): "60dddccb7d295b3da2186bdafbf0b7db25e10e8aa0f0f3b5cfd602052edee9da",
-    ("solve", 4): "545ce2c1973f972288722d0599b146e9369676a74735e6552ba070e5107d7c79",
+    ("solve", 4): "94ec3ea8428de3e561a7dc481f0622bea7e0b8882b0927a24d92c603ad5cc5d5",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
-    ("sweep", 5): "cba9a41f5a7d4b671d49f74a2ebf1195cc9c571863b7660c20eefef3ea30f07d",
-    ("sweep", 13): "2f7d72bd940cc7e55e86665c446ea80d384076bc45d6d02b7449e4e442c57391",
+    ("sweep", 5): "e6f3db3686a44a2a41915b167ac4cbfcbc66544b0fdd751802d8ab19a0a1913b",
+    ("sweep", 13): "135a8818cd08c8ecfe9a48774ddaf92b50b28ffceb769358a6b2942dccd13601",
     ("theorem", 4): "51f0fcd7732a737de5f115a93b57968b08dbfbc03691d9d90d5f171a8473b4c1",
     ("theorem", 5): "32a72aa7e447530dfeb45eb34478a7e19e79c7608e8390597b792e689f1b3846",
     ("theorem", 6): "0567ce5faf55f8f2d3618f2a397e6b2dbc07fc98ece0240f297703bb1a46a37b",
     ("theorem", 7): "5cd1d42e2042d4b49e979915387f9350856a0c158740ea13ee2b37cdfd19f03f",
-    ("theorem", 8): "41dc3f5aa75e02b5f6f7fcb7cdf676b16a153548a2b123159e9ab2ccd1a8eee5",
-    ("theorem", 13): "1060c6f3f98eceff3304a4c4156f2296bc0a0948069f853b7f8c5145d5f4f114",
+    ("theorem", 8): "03598041aff581bfa3d06cf9260b655102582d9fe4a255878e4f56c537fd9e94",
+    ("theorem", 13): "ffb0e020ac6a19023e5b95f98f339eadfa2e497f3e6f06f3e476d2cfadaa581e",
 }
 
 
@@ -275,8 +278,15 @@ def test_stall_index_matches_full_rescan(monkeypatch):
         solve(k, 100)
     for k in (4, 5, 6, 7, 8, 13):
         replay_script(k)
-    state = replay_script(13).state
-    assert induction_sweep(state, 2, 300) is None
+    # an intake one target at a time ends each propagate in a stall round,
+    # with certified pins changing the open counts between them
+    for k in (3, 4, 5, 13):
+        state = SolverState(k, 100)
+        for _, group in groupby(generate_constraints(k, 100), lambda c: c.target):
+            state.add_constraints(group)
+            state.propagate()
+            induction_sweep(state, 2, 100)
+        assert state.report().all_pinned, k
     assert len(rounds) > 300
 
 
@@ -379,26 +389,53 @@ def test_retired_equations_are_released(monkeypatch):
     assert state._ops == ops
 
 
-def test_induction_step_adds_its_two_equations():
-    # once 1..n-1 are pinned the step is its sum and its product: no split
-    # form and no pairs, and each narrows one unknown
+def test_induction_step_is_one_certified_pin():
+    # the step pins f(n) alone, by a checked witness: it adds no equation,
+    # runs no narrowing, and leaves one trace step
     state = replay_script(5).state
     assert induction_sweep(state, 2, 20) is None
     n = next(m for m in range(21, 100) if not state.is_pinned(m))
-    equations, steps = len(state._equations), len(state.trace)
+    equations, steps, ops = len(state._equations), len(state.trace), state._ops
     pin_by_induction(state, n)
-    assert len(state._equations) - equations == 2
-    assert [(s.variable, s.rule) for s in state.trace[steps:]] == [
-        (n * (n - 1), "forward"),
-        (n, "product"),
+    assert len(state._equations) == equations
+    assert state._ops == ops
+    assert [(s.variable, s.view, s.after, s.rule) for s in state.trace[steps:]] == [
+        (n, "value", (str(n),), "certified")
     ]
+    assert state.is_pinned(n) and n in state.pinned
+
+
+def test_forged_witness_raises_and_leaves_the_state(monkeypatch):
+    state = replay_script(5).state
+    n = next(m for m in range(21, 100) if not state.is_pinned(m))
+    snapshot = (
+        list(state.trace),
+        set(state.pinned),
+        dict(state._values),
+        list(state._open),
+        sorted(state._pending),
+    )
+    monkeypatch.setattr(
+        solver_module, "find_witness", lambda n, k, pinned: (n - 1, (1,) * k)
+    )
+    with pytest.raises(NoWitnessError) as exc:
+        pin_by_induction(state, n)
+    assert str(exc.value) == (
+        f"certificate rejected: squares sum to 5, not {n}*{n - 1} = {n * (n - 1)}"
+    )
+    assert snapshot == (
+        list(state.trace),
+        set(state.pinned),
+        dict(state._values),
+        list(state._open),
+        sorted(state._pending),
+    )
+    assert induction_sweep(state, 2, 100) == (n, str(exc.value))
 
 
 def test_induction_live_memory_per_step():
-    # a settled equation is released, so what one induction step keeps is
-    # its two trace steps and two dedup keys: about 4 KB per n, where the
-    # split form and pairs of a full intake cost about 7 KB and keeping
-    # every settled equation alive about 14 KB
+    # one induction step keeps its trace step and label, an entry in the
+    # pinned set, and f(n)'s value and square sets: about 1 KB per n
     state = replay_script(5).state
     assert induction_sweep(state, 2, 500) is None
     gc.collect()
@@ -410,7 +447,7 @@ def test_induction_live_memory_per_step():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert (after - before) / 500 < 6_000
+    assert (after - before) / 500 < 2_000
 
 
 def test_pairing_needed_for_solve_k13(monkeypatch):
@@ -449,18 +486,44 @@ def test_pin_by_induction_k5_n7_uses_42():
     )
     state.propagate()
     assert all(state.is_pinned(m) for m in range(1, 7))
-    assert not state.is_pinned(7)
+    assert state.candidates(7) is None
     pin_by_induction(state, 7)
     assert state.is_pinned(7)
-    labels = [step.constraint for step in state.trace]
-    assert any("f(42)=f(4)^2+f(3)^2+f(3)^2+f(2)^2+f(2)^2" in l for l in labels)
-    assert any("f(42)=f(6)*f(7)" in l for l in labels)
+    assert state.trace[-1] == TraceStep(
+        "induction(7): 7*6=42=4^2+3^2+3^2+2^2+2^2",
+        7,
+        "value",
+        None,
+        ("7",),
+        "certified",
+    )
+
+
+def test_certified_pin_outside_the_candidates_raises():
+    # 2 = 1^2 + 1^2 certifies f(2) = 2 for k = 2; candidates that exclude
+    # 2 mean the tracked constraints are unsatisfiable
+    state = SolverState(2, 20)
+    state._values[2] = frozenset({-2})
+    with pytest.raises(ContradictionError) as err:
+        pin_by_induction(state, 2)
+    assert (err.value.variable, err.value.constraint) == (
+        2,
+        "induction(2): 2*1=2=1^2+1^2",
+    )
+    assert state.trace == [] and state.pinned == {1}
 
 
 def test_pin_by_induction_rejects_small_n():
+    # 6 = 3*2 is no sum of five positive squares, and 1, the one other
+    # pinned m, gives 3*1 < 5
     state = SolverState(5, 20)
-    with pytest.raises(NoSmallRepresentationError):
+    with pytest.raises(NoWitnessError) as exc:
         pin_by_induction(state, 3)
+    assert str(exc.value) == (
+        "m=2: 6 has no representation with parts below 3; "
+        "no other pinned m is coprime to 3 with 3*m >= 5"
+    )
+    assert state.trace == [] and state.pinned == {1}
 
 
 def test_pin_by_induction_k6_n8():
@@ -485,9 +548,40 @@ def test_induction_sweep_stops_at_first_failure(monkeypatch):
     monkeypatch.setattr(solver_module, "pin_by_induction", recording)
     state = SolverState(4, 20)
     failure = induction_sweep(state, 3, 10)
-    assert failure == (3, "6 has no representation with parts below 3")
+    assert failure == (
+        3,
+        "m=2: 6 has no representation with parts below 3; "
+        "no other pinned m is coprime to 3 with 3*m >= 4",
+    )
     assert attempted == [3]
     assert state.trace == []
+
+
+def test_solve_k3_pins_every_n_to_300():
+    # the certificate's coprime fallback carries k = 3 past the n whose
+    # n(n-1) is no sum of three squares with parts below n
+    assert solve(3, 300).all_pinned
+
+
+def test_k2_pins_respect_the_sign_twist():
+    # f(n) = n (-1)^(prime factors = 3 mod 4, with multiplicity) is
+    # multiplicative and meets every k = 2 constraint, since a sum of two
+    # squares has an even count of them; so no n with an odd count may be
+    # pinned, by propagation or by a certified step, even one tried out of
+    # order, past the first n the sweep cannot pin
+    def twisted(n):
+        return sum(e for p, e in factorize(n).factors if p % 4 == 3) % 2 == 1
+
+    state = solve(2, 150).state
+    assert len([n for n in state.pinned if n <= 150]) == 59
+    for n in range(2, 151):
+        if not state.is_pinned(n):
+            try:
+                pin_by_induction(state, n)
+            except NoWitnessError:
+                pass
+    assert [s.variable for s in state.trace if s.rule == "certified"] == [64, 81]
+    assert not [n for n in state.pinned if twisted(n)]
 
 
 def test_check_function_identity_is_clean():

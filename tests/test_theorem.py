@@ -3,18 +3,18 @@
 import pytest
 
 import multsquares.replay as replay_module
+import multsquares.solver as solver_module
 import multsquares.theorem as theorem_module
 from multsquares.arith import represent_in_semigroup
 from multsquares.certificate import check_step
 from multsquares.gaussian import gauss
-from multsquares.replay import EXPECTED_SIGN_PAIRS, ReplayMismatchError
+from multsquares.replay import EXPECTED_SIGN_PAIRS, ReplayMismatchError, replay_script
+from multsquares.solver import NoWitnessError, find_witness
 from multsquares.theorem import (
     EVEN_STEP,
     ODD_STEP,
-    NoWitnessError,
     ParametricIdentity,
     check_parametric,
-    find_witness,
     theorem_check,
     verify_case_general,
     verify_case_k,
@@ -224,20 +224,24 @@ def test_every_case_reports_one_route():
 
 def test_induction_failure_reason_reported(monkeypatch):
     # every replay pins 7, so the test drops 7 from the replay's pinned set
-    # and makes the witness search fail there
-    real_pinned = theorem_module._replay_pinned
-    real_search = theorem_module.find_witness
-
-    def forget_7(replayed):
-        return {n for n in real_pinned(replayed) if n != 7}
+    # and makes the witness search fail there; the k = 5 replay pins 7 by
+    # the same search, so the failing one goes in after the replay
+    real_replay = theorem_module.replay_script
+    real_search = solver_module.find_witness
 
     def fail_at_7(n, k, pinned):
         if n == 7:
             raise NoWitnessError("stub")
         return real_search(n, k, pinned)
 
-    monkeypatch.setattr(theorem_module, "_replay_pinned", forget_7)
-    monkeypatch.setattr(theorem_module, "find_witness", fail_at_7)
+    def forget_7(k, budget):
+        monkeypatch.setattr(solver_module, "find_witness", real_search)
+        replayed = real_replay(k, budget=budget)
+        replayed.state.pinned.discard(7)
+        monkeypatch.setattr(solver_module, "find_witness", fail_at_7)
+        return replayed
+
+    monkeypatch.setattr(theorem_module, "replay_script", forget_7)
     for k in (4, 5, 8):
         report = theorem_check(k, 60)
         induction = next(c for c in report.checks if c.name == "induction")
@@ -249,7 +253,7 @@ def test_induction_failure_reason_reported(monkeypatch):
 
 def test_witness_search_sees_every_smaller_n_pinned(monkeypatch):
     # find_witness relies on 1..n-1 being pinned when it is asked for n
-    real_search = theorem_module.find_witness
+    real_search = solver_module.find_witness
     calls = []
 
     def checked(n, k, pinned):
@@ -257,7 +261,7 @@ def test_witness_search_sees_every_smaller_n_pinned(monkeypatch):
         assert set(range(1, n)) <= pinned, (k, n)
         return real_search(n, k, pinned)
 
-    monkeypatch.setattr(theorem_module, "find_witness", checked)
+    monkeypatch.setattr(solver_module, "find_witness", checked)
     for k in (4, 5, 8, 111):
         calls.clear()
         assert theorem_check(k, 60).all_passed, k
@@ -267,7 +271,7 @@ def test_witness_search_sees_every_smaller_n_pinned(monkeypatch):
 def test_route_checks_every_witness(monkeypatch):
     # a witness the checker rejects stops the certificate at that n
     monkeypatch.setattr(
-        theorem_module, "find_witness", lambda n, k, pinned: (111, (1,) * k)
+        solver_module, "find_witness", lambda n, k, pinned: (111, (1,) * k)
     )
     report = theorem_check(111, 40)
     induction = next(c for c in report.checks if c.name == "induction")
@@ -300,7 +304,7 @@ def test_fallback_search_stops_at_node_limit(monkeypatch):
     pinned = {*range(1, 11), 111}
     m, parts = find_witness(11, 111, pinned)
     assert m == 111 and check_step(11, m, parts, 111, pinned) is None
-    monkeypatch.setattr(theorem_module, "FALLBACK_NODES", 5)
+    monkeypatch.setattr(solver_module, "FALLBACK_NODES", 5)
     with pytest.raises(NoWitnessError) as exc:
         find_witness(11, 111, pinned)
     assert str(exc.value).endswith(
@@ -319,7 +323,7 @@ def test_excess_search_matches_dynamic_programming():
             for _ in range(terms):
                 reach |= {r + c for r in reach for c in costs if r + c <= 300}
             for excess in range(301):
-                parts, _ = theorem_module._excess_parts(excess, terms, pinned, 10**6)
+                parts, _ = solver_module._excess_parts(excess, terms, pinned, 10**6)
                 found = parts is not None
                 assert found == (excess in reach), (members, terms, excess)
                 if found:
@@ -341,7 +345,7 @@ def test_large_k_proves():
             "induction",
             "pinned-to-40",
         ], k
-    pinned = theorem_module._replay_pinned(theorem_module.replay_script(111))
+    pinned = set(replay_script(111).state.pinned)
     assert 11 not in pinned
     assert find_witness(11, 111, pinned)[0] == 111
 
@@ -349,7 +353,7 @@ def test_large_k_proves():
 def test_certificate_steps_pass_the_checker():
     # replay the certificate for two cases, checking each step here too
     for k in (5, 111):
-        pinned = theorem_module._replay_pinned(theorem_module.replay_script(k))
+        pinned = set(replay_script(k).state.pinned)
         for n in range(2, 121):
             if n in pinned:
                 continue

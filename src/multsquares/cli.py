@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
-                   help="max propagation steps (deterministic)")
+                   help="max queue pops of propagation (deterministic)")
     p.add_argument("--trace", action="store_true", help="include the full trace")
     p.set_defaults(func=_cmd_solve)
 
@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="run the full case verification")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, default=theorem.DEFAULT_BOUND)
-    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
+                   help="max queue pops of the replay's propagation (deterministic)")
     p.set_defaults(func=_cmd_theorem)
 
     return parser

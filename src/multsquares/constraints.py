@@ -182,24 +182,22 @@ def sq_mono(n: int) -> Monomial:
     return ((n, 2),)
 
 
-def _sq_term(part: int, split: bool) -> Poly:
-    """Polynomial for f(part)^2; when split, expanded over prime powers."""
+def _sq_mono(part: int, split: bool) -> Monomial:
+    """Monomial of f(part)^2; when split, expanded over prime powers."""
     if part == 1:
-        return {CONST: 1}
+        return CONST
     if not split:
-        return {sq_mono(part): 1}
-    pps = factorize(part).prime_powers
-    mono: Monomial = CONST
-    for q in pps:
-        mono = mono_mul(mono, sq_mono(q))
-    return {mono: 1}
+        return sq_mono(part)
+    return tuple(sorted((q, 2) for q in factorize(part).prime_powers))
 
 
 def sos_rhs(c: SumOfSquares, split: bool = False) -> Poly:
-    """Right-hand side polynomial: sum of squared parts."""
+    """Right-hand side polynomial: sum of squared parts, each monomial
+    counted once per part that gives it."""
     out: Poly = {}
     for x in c.parts:
-        out = poly_add(out, _sq_term(x, split))
+        mono = _sq_mono(x, split)
+        out[mono] = out.get(mono, 0) + 1
     return out
 
 

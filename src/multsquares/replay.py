@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
-from .gaussian import ONE, ZERO, GaussianRational, gauss
+from .gaussian import Rational, gauss
 from .solver import DEFAULT_BUDGET, SolverState, TraceStep, induction_sweep
 from .squares import MAX_K, is_dubouis_exception, iter_representations
 
@@ -575,15 +575,15 @@ def _stages_general(k: int) -> List[ReplayStage]:
     return stages
 
 
-def double_representations_hold(f2: GaussianRational, f3: GaussianRational) -> bool:
-    """Whether (f(2), f(3)) satisfies the equation of each pair in
-    DOUBLE_REPRESENTATIONS, with f(1) = 1 and f(6) = f(2) f(3).  The ones
-    that pad both cores to k parts cancel, so each core is padded only to
-    the longer one's length."""
-    f = {1: ONE, 2: f2, 3: f3, 6: f2 * f3}
+def double_representations_hold(f2: Rational, f3: Rational) -> bool:
+    """Whether the exact rationals (f(2), f(3)) satisfy the equation of
+    each pair in DOUBLE_REPRESENTATIONS, with f(1) = 1 and f(6) = f(2) f(3).
+    The ones that pad both cores to k parts cancel, so each core is padded
+    only to the longer one's length."""
+    f = {1: 1, 2: f2, 3: f3, 6: f2 * f3}
 
-    def square_sum(core: Sequence[int], length: int) -> GaussianRational:
-        return sum((f[x].square() for x in pad(core, length)), ZERO)
+    def square_sum(core: Sequence[int], length: int) -> Rational:
+        return sum(f[x] * f[x] for x in pad(core, length))
 
     for _, first, second in DOUBLE_REPRESENTATIONS:
         length = max(len(first), len(second))
@@ -599,10 +599,16 @@ def _format_pairs(pairs) -> str:
 
 def _joint_pair_solutions(state: SolverState) -> set:
     """Pairs (a, b) from candidates(2) x candidates(3) satisfying both
-    double-representation equations exactly."""
-    cand2 = state.candidates(2) or set()
-    cand3 = state.candidates(3) or set()
-    return {(a, b) for a in cand2 for b in cand3 if double_representations_hold(a, b)}
+    double-representation equations exactly.  The check runs over the
+    state's exact rationals; only the solutions become GaussianRational."""
+    cand2 = state._values.get(2) or ()
+    cand3 = state._values.get(3) or ()
+    return {
+        (gauss(a), gauss(b))
+        for a in cand2
+        for b in cand3
+        if double_representations_hold(a, b)
+    }
 
 
 # the scripts of k = 4..7 depend on nothing else, so each is built once, at

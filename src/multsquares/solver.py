@@ -157,9 +157,7 @@ def _sqrts(w: Rational) -> Optional[Tuple[Rational, ...]]:
 
 
 class _Equation:
-    __slots__ = (
-        "eq_id", "poly", "label", "rule", "target", "vars", "var_powers", "_decomp"
-    )
+    __slots__ = ("eq_id", "poly", "label", "rule", "target", "vars", "odd", "_decomp")
 
     def __init__(
         self, eq_id: int, poly: Poly, label: str, rule: str, target: int = 0
@@ -170,12 +168,9 @@ class _Equation:
         self.rule = rule
         self.target = target
         self.vars = poly_vars(poly)
-        powers: Dict[int, set] = {v: set() for v in self.vars}
-        for mono in poly:
-            for v, d in mono:
-                if d:
-                    powers[v].add(d)
-        self.var_powers = {v: tuple(sorted(ps)) for v, ps in powers.items()}
+        # the unknowns with some odd power; eq reads every other one only
+        # through its square
+        self.odd = frozenset(v for mono in poly for v, d in mono if d % 2)
         self._decomp: Dict[int, List[Tuple[int, Monomial, int]]] = {}
 
     def decomposition(self, var: int) -> List[Tuple[int, Monomial, int]]:
@@ -236,6 +231,9 @@ class SolverState:
         self._equations: List[Optional[_Equation]] = []
         self._eq_keys: set = set()
         self._var_eqs: Dict[int, List[int]] = {}
+        # the equations in which a variable has some odd power: the only
+        # ones a sign-only narrowing of it can change (see _set)
+        self._odd_eqs: Dict[int, List[int]] = {}
         self._forms: Dict[int, List[Tuple[str, Poly]]] = {}
         self._sos_seen: Dict[int, int] = {}
         self._pending: List[int] = []
@@ -311,6 +309,8 @@ class SolverState:
         self._equations.append(eq)
         for v in eq.vars:
             self._var_eqs.setdefault(v, []).append(eq.eq_id)
+            if v in eq.odd:
+                self._odd_eqs.setdefault(v, []).append(eq.eq_id)
             self._values.setdefault(v, None)
             self._squares.setdefault(v, None)
         n_open = sum(1 for v in eq.vars if self._values[v] is None)
@@ -325,8 +325,10 @@ class SolverState:
             self._in_pending.add(eq_id)
             heapq.heappush(self._pending, eq_id)
 
-    def _touch(self, var: int) -> None:
-        for eq_id in self._var_eqs.get(var, ()):
+    def _touch(self, var: int, odd_only: bool = False) -> None:
+        """Queue the equations of var, or only those in which it has some
+        odd power."""
+        for eq_id in (self._odd_eqs if odd_only else self._var_eqs).get(var, ()):
             self._push(eq_id)
 
     # -- narrowing ----------------------------------------------------------
@@ -391,7 +393,7 @@ class SolverState:
         if vals is not None:
             return "value", vals
         sqs = self._squares.get(u)
-        if sqs is not None and all(p % 2 == 0 for p in eq.var_powers[u]):
+        if sqs is not None and u not in eq.odd:
             return "square", sqs
         return None
 
@@ -419,14 +421,15 @@ class SolverState:
 
     @staticmethod
     def _combo_coeffs(
-        eq: _Equation,
-        var: int,
+        terms: List[Tuple[int, Monomial, int]],
         others: Tuple[int, ...],
         combo: Tuple[Tuple[str, Rational], ...],
     ) -> Dict[int, Rational]:
+        """The coefficients, by power of the unknown solved for, of its
+        decomposition terms under one assignment of the others."""
         assign = dict(zip(others, combo))
         coeffs: Dict[int, Rational] = {}
-        for d, residual, acc in eq.decomposition(var):
+        for d, residual, acc in terms:
             for u, p in residual:
                 view, x = assign[u]
                 if view == "square":  # p is even here
@@ -440,7 +443,7 @@ class SolverState:
         if prepared is None:
             return
         others, options = prepared
-        combos = list(product(*options)) if options else [()]
+        combos = product(*options)
         seen = self._view(eq, var)
         if seen is None:
             self._create_from_unknown(eq, var, others, combos)
@@ -453,8 +456,9 @@ class SolverState:
         of var halve."""
         remaining = set(current)
         survivors = set()
+        terms = eq.decomposition(var)
         for combo in combos:
-            coeffs = self._combo_coeffs(eq, var, others, combo)
+            coeffs = self._combo_coeffs(terms, others, combo)
             if view == "square":
                 coeffs = {d // 2: coef for d, coef in coeffs.items()}
             moved = []
@@ -476,14 +480,15 @@ class SolverState:
         w = var^scale, where scale is 2 when every power of var is even;
         the roots give the values (exact square roots of w when scale is 2)
         and the squares."""
-        scale = 2 if all(p % 2 == 0 for p in eq.var_powers[var]) else 1
+        scale = 1 if var in eq.odd else 2
+        terms = eq.decomposition(var)
         val_acc: set = set()
         sq_acc: set = set()
         val_ok = True  # every root has exact values
         sq_ok = True  # every combination was solved exactly
         feasible = False
         for combo in combos:
-            coeffs = self._combo_coeffs(eq, var, others, combo)
+            coeffs = self._combo_coeffs(terms, others, combo)
             if not coeffs:
                 return  # an unconstraining combination: no pruning at all
             degs = sorted(coeffs)
@@ -551,10 +556,16 @@ class SolverState:
         label: str,
         rule: str,
     ) -> None:
-        """Narrow one view of var to new, recording the step under label.
-        A value set also fixes the square image; a square set (made only
-        while the values are unknown) whose roots are all rational fixes the
-        values through the rule "square-root"."""
+        """Narrow one view of var to new, recording the step under label,
+        and queue the equations the change can affect.
+
+        A value set also fixes the square image.  When that image is
+        unchanged (a sign-only narrowing such as {-2, 2} to {2}), only the
+        equations in which var has some odd power are queued: every other
+        equation reads var through its square alone, so it would narrow
+        nothing.  A square set (made only while the values are unknown)
+        whose roots are all rational fixes the values through the rule
+        "square-root"."""
         store = self._values if view == "value" else self._squares
         old = store.get(var)
         if old is not None and not new < old:
@@ -565,8 +576,11 @@ class SolverState:
             TraceStep(label, var, view, _fmt_set(old), _fmt_set(new), rule)
         )
         store[var] = new
-        self._touch(var)
         if view == "value":
+            squares = frozenset(v * v for v in new)
+            sign_only = squares == self._squares.get(var)
+            self._touch(var, odd_only=sign_only)
+            self._squares[var] = squares
             if new == {var}:
                 self.pinned.add(var)
             if old is None:
@@ -576,8 +590,10 @@ class SolverState:
                         self._two_open.add(eq_id)
                     else:
                         self._two_open.discard(eq_id)
-            self._squares[var] = frozenset(v * v for v in new)
+            if sign_only and len(new) == 1:
+                self._retire_settled(var)
             return
+        self._touch(var)
         roots: List[Rational] = []
         for s in new:
             ws = _sqrts(s)
@@ -586,6 +602,20 @@ class SolverState:
             roots.extend(ws)
         if len(roots) <= SET_CAP:
             self._set(var, "value", frozenset(roots), label, "square-root")
+
+    def _retire_settled(self, var: int) -> None:
+        """Retire the unqueued equations of var whose unknowns each hold one
+        value and that hold there.  A sign-only narrowing queues none of
+        them, so no pop would retire them and release their memory."""
+        for eq_id in self._var_eqs.get(var, ()):
+            eq = self._equations[eq_id]
+            if (
+                eq is not None
+                and eq_id not in self._in_pending
+                and self._open[eq_id] == 0
+                and self._holds_pinned(eq)
+            ):
+                self._equations[eq_id] = None
 
     # -- elimination on stalls ------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Scripted deduction replays and their per-stage claims."""
 
+from fractions import Fraction
+
 import pytest
 
 import multsquares.replay as replay_module
@@ -95,10 +97,13 @@ def test_replay_k8_pair_block_and_construction():
         "got": "{(+-1,+-1),(+-2,+-3)}",
     }
     # the pairs the joint check expects are exactly the small integer
-    # solutions of the 40/32 equations
-    small = [gauss(x) for x in range(-6, 7) if x]
+    # solutions of the 40/32 equations, checked over exact rationals
+    small = [x for x in range(-6, 7) if x] + [Fraction(1, 2), Fraction(-3, 2)]
     solutions = {
-        (a, b) for a in small for b in small if double_representations_hold(a, b)
+        (gauss(a), gauss(b))
+        for a in small
+        for b in small
+        if double_representations_hold(a, b)
     }
     assert solutions == EXPECTED_SIGN_PAIRS and len(solutions) == 8
     got = claims_of(result, "construction-k^2+k-1")

@@ -389,6 +389,78 @@ def test_retired_equations_are_released(monkeypatch):
     assert state._ops == ops
 
 
+def _queued_after_narrowing(before, after):
+    """Labels of the equations a narrowing of f(2) from before to after
+    queues, in a state with f(6) = f(2) f(3) and f(8) = f(2)^2 + f(2)^2."""
+    state = SolverState(2, 10)
+    state.add_constraints([Multiplicative(6, 2, 3), SumOfSquares(8, (2, 2))])
+    state._pending.clear()
+    state._in_pending.clear()
+    state._values[2] = frozenset(before)
+    state._squares[2] = frozenset(x * x for x in before)
+    state._set(2, "value", frozenset(after), "narrowed", "product")
+    return {state._equations[i].label for i in state._in_pending}
+
+
+def test_sign_only_narrowing_wakes_only_odd_readers():
+    product, total = "f(6)=f(2)*f(3)", "f(8)=f(2)^2+f(2)^2"
+    # {-2, 2} to {2} leaves f(2)^2 at 4: the sum reads nothing new
+    assert _queued_after_narrowing({-2, 2}, {2}) == {product}
+    # {+-1, +-2} to {+-2} drops the square 1, which the sum reads
+    assert _queued_after_narrowing({-2, -1, 1, 2}, {-2, 2}) == {product, total}
+
+
+def _differential_runs(monkeypatch):
+    """Envelopes and solver states of solve, replay_script and theorem_check
+    runs; the states in creation order."""
+    states = []
+    original_init = SolverState.__init__
+
+    def recording(state, *args, **kwargs):
+        original_init(state, *args, **kwargs)
+        states.append(state)
+
+    with monkeypatch.context() as m:
+        m.setattr(SolverState, "__init__", recording)
+        envelopes = [solve(k, 100).to_dict() for k in (2, 3, 4, 5, 8, 13)]
+        envelopes += [
+            replay_script(k).to_dict() for k in (4, 5, 6, 7, 8, 13, 97, 500)
+        ]
+        envelopes += [theorem_check(k, 60).to_dict() for k in (4, 8, 13)]
+    return envelopes, states
+
+
+def live_equations(state):
+    return sum(eq is not None for eq in state._equations)
+
+
+def test_wake_up_rule_matches_waking_every_equation(monkeypatch):
+    envelopes, states = _differential_runs(monkeypatch)
+    original = SolverState._set
+
+    def waking_all(state, var, *args):
+        # the reference rule: any narrowing queues every equation of var
+        steps = len(state.trace)
+        original(state, var, *args)
+        if len(state.trace) > steps:
+            state._touch(var)
+
+    with monkeypatch.context() as m:
+        m.setattr(SolverState, "_set", waking_all)
+        ref_envelopes, ref_states = _differential_runs(monkeypatch)
+    assert envelopes == ref_envelopes
+    assert len(states) == len(ref_states)
+    for state, ref in zip(states, ref_states):
+        assert (state.k, state.bound) == (ref.k, ref.bound)
+        assert state.trace == ref.trace
+        assert state.pinned == ref.pinned
+        assert state._ops <= ref._ops
+        assert live_equations(state) <= live_equations(ref)
+    # the first state of k = 13 and bound 60 is replay_script(13)'s
+    replay13 = next(i for i, s in enumerate(states) if (s.k, s.bound) == (13, 60))
+    assert states[replay13]._ops < ref_states[replay13]._ops
+
+
 def test_induction_step_is_one_certified_pin():
     # the step pins f(n) alone, by a checked witness: it adds no equation,
     # runs no narrowing, and leaves one trace step

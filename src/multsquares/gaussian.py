@@ -122,7 +122,10 @@ def parse_value(text: str) -> GaussianRational:
         sign, digits, imag = m.groups()
         if digits is None and not imag:
             raise ValueError(f"cannot parse value {text!r}")
-        q = Fraction(digits) if digits else Fraction(1)
+        try:
+            q = Fraction(digits) if digits else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         if sign == "-":
             q = -q
         if imag:

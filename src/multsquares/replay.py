@@ -646,10 +646,11 @@ def replay_script(k: int, *, budget: int = DEFAULT_BUDGET) -> ReplayResult:
     """Run the scripted deduction for k, asserting every claimed intermediate."""
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}")
+    stages = _stages(k)  # refuses k < 4 before SolverState refuses k < 2
     bound = max(4 * k, 60)
     state = SolverState(k, bound, budget=budget)
     outcomes = []
-    for stage in _stages(k):
+    for stage in stages:
         before = len(state.trace)
         if stage.constraints:
             state.add_constraints(stage.constraints)

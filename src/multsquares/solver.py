@@ -1,16 +1,17 @@
 """Sound candidate-set propagation for the unknowns f(2), f(3), ...
 
-Each unknown carries a value view (a finite set of exact values, or
-unknown) and a square view (a finite set of possible squares, or unknown).
-The square view exists because many deductions determine f(n)^2 exactly
-while f(n) itself stays ambiguous up to sign or is not even representable
-in the value domain.
+Each unknown carries a value set (a finite set of exact values, or
+unknown), and narrowing reads value sets only.  Beside it sits a square
+set (the possible values of f(n)^2, or unknown): solving an equation for
+an unknown whose powers are all even can fix f(n)^2 while f(n) itself
+stays ambiguous or is not even rational.  In narrowing, only that solve
+and the setter read the square set.
 
 Narrowing is uniform: every constraint (and every derived equation) is an
 integer-coefficient polynomial equation over the unknowns.  Values are
 exact rationals, held as int when integral and as Fraction otherwise.  A
 candidate is removed only when no assignment of the other variables, drawn
-from their current views, satisfies the equation; pruning that would
+from their current value sets, satisfies the equation; pruning that would
 require an irrational or non-real root is skipped, so sets stay supersets
 of every complex solution of the tracked system.
 """
@@ -384,37 +385,23 @@ class SolverState:
             total += term
         return total == 0
 
-    def _view(
-        self, eq: _Equation, u: int
-    ) -> Optional[Tuple[str, FrozenSet[Rational]]]:
-        """The view of u that eq narrows and reads: the values when known,
-        else the squares when every power of u in eq is even, else None."""
-        vals = self._values.get(u)
-        if vals is not None:
-            return "value", vals
-        sqs = self._squares.get(u)
-        if sqs is not None and u not in eq.odd:
-            return "square", sqs
-        return None
-
     def _assignments(
         self, eq: _Equation, var: int
-    ) -> Optional[Tuple[Tuple[int, ...], List[List[Tuple[str, Rational]]]]]:
-        """Per-other-variable assignment options, or None if some view is missing."""
+    ) -> Optional[Tuple[Tuple[int, ...], List[List[Rational]]]]:
+        """Per-other-variable candidate values, or None if some value set
+        is unknown."""
         others: List[int] = []
-        options: List[List[Tuple[str, Rational]]] = []
+        options: List[List[Rational]] = []
         total = 1
         for u in eq.vars:
             if u == var:
                 continue
-            seen = self._view(eq, u)
-            if seen is None:
+            vals = self._values[u]
+            if vals is None:
                 return None
-            view, cands = seen
-            opts = [(view, x) for x in sorted(cands)]
             others.append(u)
-            options.append(opts)
-            total *= len(opts)
+            options.append(sorted(vals))
+            total *= len(vals)
             if total > COMBINATION_CAP:
                 return None
         return tuple(others), options
@@ -423,7 +410,7 @@ class SolverState:
     def _combo_coeffs(
         terms: List[Tuple[int, Monomial, int]],
         others: Tuple[int, ...],
-        combo: Tuple[Tuple[str, Rational], ...],
+        combo: Tuple[Rational, ...],
     ) -> Dict[int, Rational]:
         """The coefficients, by power of the unknown solved for, of its
         decomposition terms under one assignment of the others."""
@@ -431,9 +418,7 @@ class SolverState:
         coeffs: Dict[int, Rational] = {}
         for d, residual, acc in terms:
             for u, p in residual:
-                view, x = assign[u]
-                if view == "square":  # p is even here
-                    p //= 2
+                x = assign[u]
                 acc *= x if p == 1 else x**p
             coeffs[d] = coeffs.get(d, 0) + acc
         return {d: c for d, c in coeffs.items() if c != 0}
@@ -444,23 +429,19 @@ class SolverState:
             return
         others, options = prepared
         combos = product(*options)
-        seen = self._view(eq, var)
-        if seen is None:
+        if self._values[var] is None:
             self._create_from_unknown(eq, var, others, combos)
         else:
-            self._filter(eq, var, *seen, others, combos)
+            self._filter(eq, var, others, combos)
 
-    def _filter(self, eq, var, view, current, others, combos) -> None:
-        """Keep the candidates of var's view that satisfy eq for some
-        combination; a square candidate stands for var^2, so the degrees
-        of var halve."""
-        remaining = set(current)
+    def _filter(self, eq, var, others, combos) -> None:
+        """Keep the candidate values of var that satisfy eq for some
+        combination."""
+        remaining = set(self._values[var])
         survivors = set()
         terms = eq.decomposition(var)
         for combo in combos:
             coeffs = self._combo_coeffs(terms, others, combo)
-            if view == "square":
-                coeffs = {d // 2: coef for d, coef in coeffs.items()}
             moved = []
             for c in remaining:
                 total = 0
@@ -473,7 +454,8 @@ class SolverState:
                 remaining.remove(c)
             if not remaining:
                 return
-        self._set(var, view, frozenset(survivors), eq.label, self._value_rule(eq, var))
+        rule = self._value_rule(eq, var)
+        self._set(var, "value", frozenset(survivors), eq.label, rule)
 
     def _create_from_unknown(self, eq, var, others, combos) -> None:
         """Solve eq for an unknown var as a polynomial of degree <= 2 in
@@ -559,13 +541,14 @@ class SolverState:
         """Narrow one view of var to new, recording the step under label,
         and queue the equations the change can affect.
 
-        A value set also fixes the square image.  When that image is
-        unchanged (a sign-only narrowing such as {-2, 2} to {2}), only the
-        equations in which var has some odd power are queued: every other
-        equation reads var through its square alone, so it would narrow
-        nothing.  A square set (made only while the values are unknown)
-        whose roots are all rational fixes the values through the rule
-        "square-root"."""
+        A value set also fixes the square image.  When a known value set
+        narrows and that image is unchanged (a sign-only narrowing such as
+        {-2, 2} to {2}), only the equations in which var has some odd power
+        are queued: in every other equation x and -x give each term the
+        same value, so it would narrow nothing.  A first value set queues
+        every equation of var, since none could read var before.  A square
+        set (made only while the values are unknown) whose roots are all
+        rational fixes the values through the rule "square-root"."""
         store = self._values if view == "value" else self._squares
         old = store.get(var)
         if old is not None and not new < old:
@@ -578,7 +561,7 @@ class SolverState:
         store[var] = new
         if view == "value":
             squares = frozenset(v * v for v in new)
-            sign_only = squares == self._squares.get(var)
+            sign_only = old is not None and squares == self._squares.get(var)
             self._touch(var, odd_only=sign_only)
             self._squares[var] = squares
             if new == {var}:
@@ -938,7 +921,12 @@ def check_function(
 
     The map gives f on prime powers; f extends multiplicatively.  Returns
     the constraints whose sides differ, with both exact side values.
+    Raises ValueError for a key below 2, or up to bound and not a prime
+    power, since no evaluation would read it; a key above bound may stay.
     """
+    for q in values_on_prime_powers:
+        if q < 2 or (q <= bound and len(factorize(q).factors) != 1):
+            raise ValueError(f"key {q} of the values is not a prime power")
     table: Dict[int, GaussianRational] = {1: ONE}
 
     def evaluate(n: int) -> GaussianRational:

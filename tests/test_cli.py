@@ -160,6 +160,24 @@ def test_check_malformed_values_exit_2(tmp_path, capsys):
         assert "--values must hold a JSON object" in err
 
 
+def test_check_bad_values_exit_2(tmp_path, capsys):
+    identity = {str(q): str(q) for q in (2, 3, 4, 5, 7)}
+    for extra, message in (
+        ({"2": "2/0"}, "zero denominator in '2/0'"),
+        ({"6": "99"}, "key 6 of the values is not a prime power"),
+        ({"-2": "1"}, "key -2 of the values is not a prime power"),
+    ):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps({**identity, **extra}), encoding="utf-8")
+        code, out, err = run_cli(
+            "check", "--k", "4", "--bound", "10", "--values", str(path),
+            capsys=capsys,
+        )
+        assert code == 2, extra
+        assert out == ""
+        assert message in err
+
+
 def test_theorem_budget_applies_to_every_k(capsys):
     for k in ("4", "5", "8"):
         code, out, _ = run_cli(

@@ -48,6 +48,9 @@ def test_parse_rejects_garbage():
     for text in ("", "x", "1+", "../2"):
         with pytest.raises(ValueError):
             parse_value(text)
+    for text in ("2/0", "0/0", "1+2/0i"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_value(text)
 
 
 def test_hash_consistency():

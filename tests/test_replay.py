@@ -172,9 +172,10 @@ def test_mechanism_ablation(monkeypatch, ablate, k, stage, got):
     assert replay_script(5).state.is_pinned(20)
 
 
-def test_replay_rejects_small_k():
-    with pytest.raises(ValueError):
-        replay_script(3)
+@pytest.mark.parametrize("k", [-1, 1, 3])
+def test_replay_rejects_small_k(k):
+    with pytest.raises(ValueError, match="replay scripts exist for k >= 4"):
+        replay_script(k)
 
 
 def test_replay_trace_shrinks_monotonically():

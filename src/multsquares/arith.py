@@ -3,7 +3,7 @@ two-generator numerical semigroup machinery used by the k >= 8 argument."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import List, Tuple
 
@@ -18,25 +18,24 @@ class NonRepresentableError(ValueError):
     """The target has no representation x*a + y*b with x, y >= 0."""
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(namedtuple("FactoredInteger", "n factors")):
     """A positive integer together with its prime-power factorization."""
 
-    n: int
-    factors: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, factors: Tuple[Tuple[int, int], ...]):
+        if n < 1:
             raise ValueError("n must be positive")
         prod = 1
         last_prime = 0
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last_prime or e < 1:
                 raise ValueError("factors must have increasing primes, exponents >= 1")
             last_prime = p
             prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors do not multiply to {self.n}")
+        if prod != n:
+            raise ValueError(f"factors do not multiply to {n}")
+        return super().__new__(cls, n, factors)
 
     @property
     def prime_powers(self) -> Tuple[int, ...]:
@@ -87,18 +86,17 @@ def coprime_splits(n: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class SemigroupPair:
+class SemigroupPair(namedtuple("SemigroupPair", "a b")):
     """Coprime generators a, b >= 2 of the numerical semigroup {xa + yb}."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 2 or self.b < 2:
+    def __new__(cls, a: int, b: int):
+        if a < 2 or b < 2:
             raise ValueError("generators must be >= 2")
-        if gcd(self.a, self.b) != 1:
-            raise NotCoprimeError(f"gcd({self.a}, {self.b}) != 1")
+        if gcd(a, b) != 1:
+            raise NotCoprimeError(f"gcd({a}, {b}) != 1")
+        return super().__new__(cls, a, b)
 
     def frobenius_number(self) -> int:
         return frobenius_number(self.a, self.b)

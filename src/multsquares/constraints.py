@@ -9,7 +9,7 @@ substituted away at compile time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Dict, List, Tuple, Union
 
@@ -18,36 +18,33 @@ from .squares import MAX_K, Representation, enumerate_representations
 from . import arith
 
 
-@dataclass(frozen=True)
-class SumOfSquares:
+class SumOfSquares(namedtuple("SumOfSquares", "target parts")):
     """f(target) = sum of f(part)^2 over parts (a valid representation)."""
 
-    target: int
-    parts: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        Representation(self.target, self.parts)  # validates structure
+    def __new__(cls, target: int, parts: Tuple[int, ...]):
+        Representation(target, parts)  # validates structure
+        return super().__new__(cls, target, parts)
 
     def label(self) -> str:
         inner = "+".join(f"f({x})^2" for x in self.parts)
         return f"f({self.target})={inner}"
 
 
-@dataclass(frozen=True)
-class Multiplicative:
+class Multiplicative(namedtuple("Multiplicative", "target m l")):
     """f(target) = f(m) f(l) for a coprime split target = m*l."""
 
-    target: int
-    m: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2 or self.l < 2 or self.m >= self.l:
+    def __new__(cls, target: int, m: int, l: int):
+        if m < 2 or l < 2 or m >= l:
             raise ValueError("need 2 <= m < l")
-        if self.m * self.l != self.target:
+        if m * l != target:
             raise ValueError("m*l must equal target")
-        if gcd(self.m, self.l) != 1:
+        if gcd(m, l) != 1:
             raise ValueError("m and l must be coprime")
+        return super().__new__(cls, target, m, l)
 
     def label(self) -> str:
         return f"f({self.target})=f({self.m})*f({self.l})"

@@ -8,9 +8,8 @@ claimed intermediate results.  A mismatch raises ReplayMismatchError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
@@ -56,8 +55,7 @@ def format_candidates(values: Optional[frozenset]) -> str:
     return "{" + ",".join(sorted(str(v) for v in values)) + "}"
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     """Claim about candidates(variable) at the end of a stage."""
 
     variable: int
@@ -82,8 +80,7 @@ class Expectation:
         }
 
 
-@dataclass(frozen=True)
-class ReplayStage:
+class ReplayStage(NamedTuple):
     name: str
     constraints: Tuple[Constraint, ...] = ()
     expects: Tuple[Expectation, ...] = ()
@@ -92,8 +89,7 @@ class ReplayStage:
     displayed: bool = False  # its sums of squares are displayed in the paper
 
 
-@dataclass(frozen=True)
-class StageOutcome:
+class StageOutcome(NamedTuple):
     name: str
     claims: Tuple[dict, ...]
     steps: int
@@ -102,8 +98,7 @@ class StageOutcome:
         return {"name": self.name, "claims": list(self.claims), "steps": self.steps}
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     k: int
     stages: Tuple[StageOutcome, ...]
     steps: Tuple[TraceStep, ...]
@@ -433,8 +428,7 @@ SMALL_PRODUCTS = ((6, 2, 3), (10, 2, 5))
 LinearForm = Tuple[int, int]  # (a, b) meaning a*l + b
 
 
-@dataclass(frozen=True)
-class ParametricIdentity:
+class ParametricIdentity(NamedTuple):
     """Two-term square identity in a parameter l, valid from a threshold on."""
 
     name: str

@@ -19,11 +19,10 @@ of every complex solution of the tracked system.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .arith import factorize
 from .certificate import check_step
@@ -86,8 +85,7 @@ class NoWitnessError(Exception):
     found; the message names each m tried and why it failed."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One narrowing event: a candidate set actually shrank."""
 
     constraint: str
@@ -108,8 +106,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A constraint whose two sides evaluate to different exact values."""
 
     constraint: str
@@ -719,8 +716,7 @@ def _resultant(p: Poly, q: Poly, x: int) -> Optional[Poly]:
     return poly_sub(poly_mul(t1, t1), poly_mul(t2, t3))
 
 
-@dataclass(frozen=True)
-class SolverReport:
+class SolverReport(NamedTuple):
     """Outcome of a run: which arguments are pinned to their own value."""
 
     k: int
@@ -728,7 +724,20 @@ class SolverReport:
     pinned: Tuple[int, ...]
     unresolved: Tuple[Tuple[int, Optional[Tuple[str, ...]]], ...]
     steps: Tuple[TraceStep, ...]
-    state: SolverState = field(repr=False, compare=False)
+    state: SolverState  # left out of ==, hash and repr
+
+    def __eq__(self, other):
+        return isinstance(other, SolverReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
+        return f"SolverReport({shown})"
 
     @property
     def all_pinned(self) -> bool:

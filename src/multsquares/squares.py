@@ -3,9 +3,9 @@ and the exceptional sets of integers that have none."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, isqrt
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 
 # largest bound the exceptional-set DP accepts, and the largest Frobenius
@@ -33,35 +33,33 @@ class UnsupportedKError(ValueError):
     """The closed-form exceptional sets are only defined for k >= 4."""
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(namedtuple("Representation", "target parts")):
     """Canonical non-increasing tuple of positive parts whose squares sum to target."""
 
-    target: int
-    parts: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, target: int, parts: Tuple[int, ...]):
+        if not parts:
             raise ValueError("a representation needs at least one part")
         prev = None
         total = 0
-        for x in self.parts:
+        for x in parts:
             if x < 1:
                 raise ValueError("parts must be positive")
             if prev is not None and x > prev:
                 raise ValueError("parts must be non-increasing")
             prev = x
             total += x * x
-        if total != self.target:
-            raise ValueError(f"squares sum to {total}, not {self.target}")
+        if total != target:
+            raise ValueError(f"squares sum to {total}, not {target}")
+        return super().__new__(cls, target, parts)
 
     @property
     def k(self) -> int:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(NamedTuple):
     """Result of enumerating representations, possibly cut off at a limit."""
 
     target: int
@@ -70,8 +68,7 @@ class Enumeration:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class ExceptionalSetReport:
+class ExceptionalSetReport(NamedTuple):
     """Exceptional set computed two ways: dynamic programming vs closed form."""
 
     k: int
@@ -145,8 +142,12 @@ def enumerate_representations(
     n: int, k: int, limit: Optional[int] = None, max_part: Optional[int] = None
 ) -> Enumeration:
     """Collect representations; complete unless more than `limit` exist."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
     reps: List[Representation] = []
     truncated = False
     for parts in iter_representations(n, k, max_part):

@@ -13,8 +13,7 @@ after the replay, so the propagation budget bounds the replay only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .constraints import MAX_SOLVER_BOUND, SumOfSquares
 from .replay import (
@@ -35,8 +34,7 @@ from .squares import UnsupportedKError, iter_representations
 DEFAULT_BOUND = 300
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -45,8 +43,7 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     case: str
     k: int
     checks: Tuple[CheckResult, ...]

@@ -1,8 +1,10 @@
 """Command-line surface: envelopes, exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +382,15 @@ def test_determinism_subprocess():
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_python_m_multsquares_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "multsquares", "theorem", "--k", "4", "--bound", "40"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"

@@ -88,6 +88,20 @@ def test_enumerate_truncation_flag():
     assert cut.representations == full.representations[:2]
 
 
+@pytest.mark.parametrize(
+    "n, k, limit, message",
+    [
+        (0, 0, None, "n and k must be positive"),
+        (-5, 2, None, "n and k must be positive"),
+        (5, 0, None, "n and k must be positive"),
+        (10, 2, -1, "limit must be non-negative"),
+    ],
+)
+def test_enumerate_rejects_bad_inputs(n, k, limit, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_representations(n, k, limit=limit)
+
+
 def test_enumerate_order_is_lexicographically_decreasing():
     # the large-k inputs reach the all-ones tail that is yielded whole
     for n, k in ((100, 4), (60, 5), (90, 6), (60, 40), (130, 100)):

@@ -22,6 +22,7 @@ class FactoredInteger(namedtuple("FactoredInteger", "n factors")):
     """A positive integer together with its prime-power factorization."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace uses it
 
     def __new__(cls, n: int, factors: Tuple[Tuple[int, int], ...]):
         if n < 1:
@@ -90,6 +91,7 @@ class SemigroupPair(namedtuple("SemigroupPair", "a b")):
     """Coprime generators a, b >= 2 of the numerical semigroup {xa + yb}."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace uses it
 
     def __new__(cls, a: int, b: int):
         if a < 2 or b < 2:

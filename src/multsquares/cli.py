@@ -147,7 +147,7 @@ def _cmd_frobenius(args) -> (Any, bool):
 
 
 def _cmd_theorem(args) -> (Any, bool):
-    report = theorem.theorem_check(args.k, args.bound, args.budget)
+    report = theorem.theorem_check(args.k, args.bound)
     ok = report.all_passed is not False
     return report.to_dict(), ok
 
@@ -224,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="run the full case verification")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, default=theorem.DEFAULT_BOUND)
-    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
-                   help="max queue pops of the replay's propagation (deterministic)")
     p.set_defaults(func=_cmd_theorem)
 
     return parser

@@ -22,6 +22,7 @@ class SumOfSquares(namedtuple("SumOfSquares", "target parts")):
     """f(target) = sum of f(part)^2 over parts (a valid representation)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace uses it
 
     def __new__(cls, target: int, parts: Tuple[int, ...]):
         Representation(target, parts)  # validates structure
@@ -36,6 +37,7 @@ class Multiplicative(namedtuple("Multiplicative", "target m l")):
     """f(target) = f(m) f(l) for a coprime split target = m*l."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace uses it
 
     def __new__(cls, target: int, m: int, l: int):
         if m < 2 or l < 2 or m >= l:
@@ -52,10 +54,9 @@ class Multiplicative(namedtuple("Multiplicative", "target m l")):
 
 Constraint = Union[SumOfSquares, Multiplicative]
 
-# The solver releases each equation once it retires, but its dedup keys,
-# pairing forms and trace still grow with the bound, and `solve` loads the
-# whole generated corpus before anything retires; this caps the bound of
-# every solver entry point.
+# The solver keeps every equation, dedup key, pairing form and trace step,
+# and `solve` loads the whole generated corpus, so its memory grows with the
+# bound; this caps the bound of every solver entry point.
 MAX_SOLVER_BOUND = 10**4
 
 

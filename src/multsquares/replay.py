@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
 from .gaussian import Rational, gauss
-from .solver import DEFAULT_BUDGET, SolverState, TraceStep, induction_sweep
+from .solver import SolverState, TraceStep, induction_sweep
 from .squares import MAX_K, is_dubouis_exception, iter_representations
 
 
@@ -636,13 +636,13 @@ def displayed_identities(k: int) -> List[SumOfSquares]:
     ]
 
 
-def replay_script(k: int, *, budget: int = DEFAULT_BUDGET) -> ReplayResult:
+def replay_script(k: int) -> ReplayResult:
     """Run the scripted deduction for k, asserting every claimed intermediate."""
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}")
     stages = _stages(k)  # refuses k < 4 before SolverState refuses k < 2
     bound = max(4 * k, 60)
-    state = SolverState(k, bound, budget=budget)
+    state = SolverState(k, bound)
     outcomes = []
     for stage in stages:
         before = len(state.trace)

@@ -225,8 +225,7 @@ class SolverState:
         # the n whose value set is {n}; _set, the only writer of values,
         # keeps it, so a lookup costs O(1) and the certificate reads it whole
         self.pinned: Set[int] = {1}
-        # a retired equation's slot holds None, so ids stay list indices
-        self._equations: List[Optional[_Equation]] = []
+        self._equations: List[_Equation] = []
         self._eq_keys: set = set()
         self._var_eqs: Dict[int, List[int]] = {}
         # the equations in which a variable has some odd power: the only
@@ -236,10 +235,6 @@ class SolverState:
         self._sos_seen: Dict[int, int] = {}
         self._pending: List[int] = []
         self._in_pending: set = set()
-        # open unknowns (value set None) per equation; the ids with exactly
-        # two are the stall round's candidates.  Counts only fall.
-        self._open: List[int] = []
-        self._two_open: set = set()
         self._ops = 0
         self._resultants = 0
         self._elim_tried: set = set()
@@ -311,15 +306,11 @@ class SolverState:
                 self._odd_eqs.setdefault(v, []).append(eq.eq_id)
             self._values.setdefault(v, None)
             self._squares.setdefault(v, None)
-        n_open = sum(1 for v in eq.vars if self._values[v] is None)
-        self._open.append(n_open)
-        if n_open == 2:
-            self._two_open.add(eq.eq_id)
         self._push(eq.eq_id)
         return True
 
     def _push(self, eq_id: int) -> None:
-        if eq_id not in self._in_pending and self._equations[eq_id] is not None:
+        if eq_id not in self._in_pending:
             self._in_pending.add(eq_id)
             heapq.heappush(self._pending, eq_id)
 
@@ -346,15 +337,15 @@ class SolverState:
             if self._ops > self.budget:
                 raise BudgetExceededError(self)
             eq = self._equations[eq_id]
-            if self._open[eq_id] == 0 and self._holds_pinned(eq):
-                self._equations[eq_id] = None  # retire: release its memory
+            if self._holds_pinned(eq):
                 continue
             for var in self._revised(eq):
                 self._narrow_var(eq, var)
 
     def _revised(self, eq: _Equation) -> Tuple[int, ...]:
         """The unknowns of eq worth revising: the open ones (value set
-        unknown or of size > 1), or every unknown when none is open.  A
+        unknown or of size > 1), or, for an all-pinned eq that fails
+        _holds_pinned, every unknown, the first of which then empties.  A
         pinned unknown's revision can only empty it, and it is supported
         whenever an open unknown's revision keeps a candidate, since that
         candidate's supporting assignment holds the pinned value; an open
@@ -366,13 +357,14 @@ class SolverState:
         return open_vars or eq.vars
 
     def _holds_pinned(self, eq: _Equation) -> bool:
-        """Whether every unknown of eq holds one value and eq holds there.
-        Such an equation can narrow nothing more: a single value can only
-        shrink to empty, which raises in the equation that empties it."""
+        """Whether every unknown of eq holds one value and eq holds there
+        (False when a value set is unknown).  _drain skips such an eq: a
+        single value can only shrink to empty, which raises in the equation
+        that empties it."""
         point = {}
         for v in eq.vars:
             vals = self._values[v]
-            if len(vals) != 1:
+            if vals is None or len(vals) != 1:
                 return False
             (point[v],) = vals
         total = 0
@@ -563,15 +555,6 @@ class SolverState:
             self._squares[var] = squares
             if new == {var}:
                 self.pinned.add(var)
-            if old is None:
-                for eq_id in self._var_eqs.get(var, ()):
-                    self._open[eq_id] -= 1
-                    if self._open[eq_id] == 2:
-                        self._two_open.add(eq_id)
-                    else:
-                        self._two_open.discard(eq_id)
-            if sign_only and len(new) == 1:
-                self._retire_settled(var)
             return
         self._touch(var)
         roots: List[Rational] = []
@@ -583,30 +566,16 @@ class SolverState:
         if len(roots) <= SET_CAP:
             self._set(var, "value", frozenset(roots), label, "square-root")
 
-    def _retire_settled(self, var: int) -> None:
-        """Retire the unqueued equations of var whose unknowns each hold one
-        value and that hold there.  A sign-only narrowing queues none of
-        them, so no pop would retire them and release their memory."""
-        for eq_id in self._var_eqs.get(var, ()):
-            eq = self._equations[eq_id]
-            if (
-                eq is not None
-                and eq_id not in self._in_pending
-                and self._open[eq_id] == 0
-                and self._holds_pinned(eq)
-            ):
-                self._equations[eq_id] = None
-
     # -- elimination on stalls ------------------------------------------------
 
     def _stall_groups(self) -> Dict[Tuple[int, int], List[int]]:
-        """Equation ids, ascending, by their two unresolved unknowns; read
-        from the index, so the cost follows the candidates, not all equations."""
+        """Equation ids, ascending, by their two unresolved unknowns: the
+        equations with exactly two unknown value sets."""
         groups: Dict[Tuple[int, int], List[int]] = {}
-        for eq_id in sorted(self._two_open):
-            eq = self._equations[eq_id]
+        for eq in self._equations:
             unresolved = tuple(v for v in eq.vars if self._values[v] is None)
-            groups.setdefault(unresolved, []).append(eq_id)
+            if len(unresolved) == 2:
+                groups.setdefault(unresolved, []).append(eq.eq_id)
         return groups
 
     def _stall_round(self) -> bool:

@@ -13,10 +13,11 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 # with the bound
 MAX_DP_BOUND = 10**6
 
-# largest k that enumeration, the replay and the constraint generator
-# accept; no search recurses, but iter_representations still opens one
-# frame per part above 1, so lifting this waits for a search on the excess
-# n - k, whose depth is at most (n - k) / 3
+# largest k that enumeration, the exceptional-set DP (whose time grows with
+# k), the replay and the constraint generator accept; no search recurses,
+# but iter_representations still opens one frame per part above 1, so
+# lifting this waits for a search on the excess n - k, whose depth is at
+# most (n - k) / 3
 MAX_K = 500
 
 # largest count table, in coefficients (max n + 1) * (max k + 1); its build
@@ -37,6 +38,7 @@ class Representation(namedtuple("Representation", "target parts")):
     """Canonical non-increasing tuple of positive parts whose squares sum to target."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace uses it
 
     def __new__(cls, target: int, parts: Tuple[int, ...]):
         if not parts:
@@ -300,9 +302,12 @@ def _representable_mask(k: int, bound: int) -> int:
 
 def exceptional_set(k: int, bound: int) -> List[int]:
     """All n <= bound with no representation, by dynamic programming.
-    The bitmask grows with bound, so bound is capped at MAX_DP_BOUND."""
+    The bitmask grows with bound, so bound is capped at MAX_DP_BOUND, and
+    the time with k, so k is capped at MAX_K."""
     if k < 1 or bound < 1:
         raise ValueError("k and bound must be positive")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     if bound > MAX_DP_BOUND:
         raise ValueError(f"bound must be at most {MAX_DP_BOUND}")
     bits = format(_representable_mask(k, bound), f"0{bound + 1}b")[::-1]

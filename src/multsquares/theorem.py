@@ -8,7 +8,7 @@ to every n up to a bound, one witness per n, by the lemma checked in
 multsquares.certificate (m in S coprime to n and n*m a sum of k squares of
 members of S give f(n) = n).  A witness search finds each step and
 certificate.check_step confirms it in integer arithmetic.  No solver runs
-after the replay, so the propagation budget bounds the replay only.
+after the replay, whose fixed script needs no propagation budget.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .replay import (
     padded_pairs,
     replay_script,
 )
-from .solver import DEFAULT_BUDGET, certify_induction, solve
+from .solver import certify_induction, solve
 from .squares import UnsupportedKError, iter_representations
 
 DEFAULT_BOUND = 300
@@ -114,19 +114,18 @@ def _proof_route(
     checks: List[CheckResult],
     manifest: Tuple[str, ...],
     bound: int,
-    budget: int,
 ) -> CaseReport:
     """The tail every case k >= 4 shares after its own identity checks.
 
-    `replay` runs the scripted replay, whose propagation `budget` bounds;
-    its pinned set is the certificate's trust base.  `induction` extends
-    that set to every n up to bound by certify_induction, each step an
-    integer check of the lemma in multsquares.certificate, with no solver
-    propagation.  `pinned-to-<bound>` then requires every n up to bound to
-    be pinned by the replay or certified.  A replay mismatch ends the
-    route at the failed replay check."""
+    `replay` runs the scripted replay; its pinned set is the
+    certificate's trust base.  `induction` extends that set to every n up
+    to bound by certify_induction, each step an integer check of the lemma
+    in multsquares.certificate, with no solver propagation.
+    `pinned-to-<bound>` then requires every n up to bound to be pinned by
+    the replay or certified.  A replay mismatch ends the route at the
+    failed replay check."""
     try:
-        replayed = replay_script(k, budget=budget)
+        replayed = replay_script(k)
     except ReplayMismatchError as exc:
         checks.append(CheckResult("replay", False, str(exc)))
     else:
@@ -153,7 +152,7 @@ def _proof_route(
 DOUBLING_MAX_M = 3
 
 
-def verify_case_k4(bound: int, *, budget: int = DEFAULT_BUDGET) -> CaseReport:
+def verify_case_k4(bound: int) -> CaseReport:
     """Checks for k = 4: displayed identities and the 4^m doubling step
     witnesses, then the shared proof route."""
     checks, manifest = _check_displayed(4)
@@ -169,16 +168,16 @@ def verify_case_k4(bound: int, *, budget: int = DEFAULT_BUDGET) -> CaseReport:
             + ("" if not bad else f"; failed at {bad}"),
         )
     )
-    return _proof_route("four-squares", 4, checks, manifest, bound, budget)
+    return _proof_route("four-squares", 4, checks, manifest, bound)
 
 
-def verify_case_k(k: int, bound: int, budget: int = DEFAULT_BUDGET) -> CaseReport:
+def verify_case_k(k: int, bound: int) -> CaseReport:
     """Checks for k in {5, 6, 7}: displayed identities, then the shared
     proof route."""
     if k not in (5, 6, 7):
         raise UnsupportedKError("this case verifier handles k in {5, 6, 7}")
     checks, manifest = _check_displayed(k)
-    return _proof_route(f"{k}-squares", k, checks, manifest, bound, budget)
+    return _proof_route(f"{k}-squares", k, checks, manifest, bound)
 
 
 def _pair_check(
@@ -190,9 +189,7 @@ def _pair_check(
     return CheckResult(name, False, f"{what}s {first.target} and {second.target}")
 
 
-def verify_case_general(
-    k: int, bound: int, budget: int = DEFAULT_BUDGET
-) -> CaseReport:
+def verify_case_general(k: int, bound: int) -> CaseReport:
     """Checks for k >= 8: padded double representations, the semigroup
     construction, the small identity table, the parametric families, then
     the shared proof route.  The sign pairs the 40/32 system allows are
@@ -235,12 +232,10 @@ def verify_case_general(
         "parametric-odd",
         "parametric-even",
     )
-    return _proof_route("general", k, checks, manifest, bound, budget)
+    return _proof_route("general", k, checks, manifest, bound)
 
 
-def theorem_check(
-    k: int, bound: int = DEFAULT_BOUND, budget: int = DEFAULT_BUDGET
-) -> CaseReport:
+def theorem_check(k: int, bound: int = DEFAULT_BOUND) -> CaseReport:
     """Dispatch to the case verifier and require full pinning up to bound."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -251,7 +246,7 @@ def theorem_check(
     if k in (2, 3):
         # these cases rest on external characterizations; run the engine
         # in exploration mode and report what it pins, with no verdict
-        report = solve(k, bound, budget)
+        report = solve(k, bound)
         pinned = len(report.pinned)
         return CaseReport(
             case="exploration",
@@ -266,7 +261,7 @@ def theorem_check(
             verdict=None,
         )
     if k == 4:
-        return verify_case_k4(bound, budget=budget)
+        return verify_case_k4(bound)
     if k in (5, 6, 7):
-        return verify_case_k(k, bound, budget)
-    return verify_case_general(k, bound, budget)
+        return verify_case_k(k, bound)
+    return verify_case_general(k, bound)

@@ -180,17 +180,6 @@ def test_check_bad_values_exit_2(tmp_path, capsys):
         assert message in err
 
 
-def test_theorem_budget_applies_to_every_k(capsys):
-    for k in ("4", "5", "8"):
-        code, out, _ = run_cli(
-            "theorem", "--k", k, "--bound", "60", "--budget", "1", capsys=capsys
-        )
-        assert code == 1, k
-        env = parse(out)
-        assert env["status"] == "failed"
-        assert env["result"]["error"] == "BudgetExceededError"
-
-
 def test_theorem_bound_below_1_exits_2(capsys):
     for k, bound in (("5", "-5"), ("4", "0")):
         code, out, err = run_cli("theorem", "--k", k, "--bound", bound, capsys=capsys)
@@ -288,6 +277,8 @@ def test_k_above_limit_exits_2(tmp_path, capsys, monkeypatch):
         ("check", "--k", "501", "--bound", "600", "--values", str(path)),
         ("replay", "--k", "501"),
         ("theorem", "--k", "501", "--bound", "5"),
+        ("exceptions", "--k", "501", "--bound", "600"),
+        ("verify-dubouis", "--k", "501", "--bound", "600"),
     ):
         code, out, err = run_cli(*argv, capsys=capsys)
         assert code == 2, argv
@@ -299,7 +290,7 @@ def test_k_above_limit_exits_2(tmp_path, capsys, monkeypatch):
     "argv, message",
     [
         (("solve", "--budget", "-1"), "argument --budget: must be >= 0, got -1"),
-        (("theorem", "--budget", "-5"), "argument --budget: must be >= 0, got -5"),
+        (("theorem", "--budget", "-5"), "unrecognized arguments: --budget"),
         (("repr", "--n", "40", "--limit", "-1"),
          "argument --limit: must be >= 0, got -1"),
         (("repr", "--n", "40", "--limit", "x"),

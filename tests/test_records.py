@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from multsquares.arith import SemigroupPair
-from multsquares.constraints import Multiplicative
+from multsquares.arith import FactoredInteger, NotCoprimeError, SemigroupPair
+from multsquares.constraints import Multiplicative, SumOfSquares
 from multsquares.replay import StageOutcome
 from multsquares.solver import SolverReport, TraceStep, solve
 from multsquares.squares import Representation
@@ -46,6 +46,27 @@ def test_records_are_immutable_tuples(record, fields):
     assert tuple(record) == fields
     with pytest.raises(AttributeError):
         setattr(record, type(record)._fields[0], fields[0])
+
+
+@pytest.mark.parametrize(
+    "record, change, error",
+    [
+        (FactoredInteger(12, ((2, 2), (3, 1))), {"n": 13}, ValueError),
+        (SemigroupPair(3, 8), {"b": 6}, NotCoprimeError),
+        (Representation(5, (2, 1)), {"target": 6}, ValueError),
+        (SumOfSquares(5, (2, 1)), {"parts": (1, 2)}, ValueError),
+        (Multiplicative(6, 2, 3), {"target": 7}, ValueError),
+    ],
+    ids=["factored", "semigroup", "representation", "sum-of-squares", "multiplicative"],
+)
+def test_make_and_replace_validate(record, change, error):
+    cls = type(record)
+    assert cls._make(tuple(record)) == record
+    assert record._replace() == record
+    with pytest.raises(error):
+        record._replace(**change)
+    with pytest.raises(error):
+        cls._make({**record._asdict(), **change}.values())
 
 
 def test_solver_report_leaves_state_out_of_eq_hash_and_repr():

@@ -226,6 +226,13 @@ def test_exceptional_set_bound_limit():
         exceptional_set(4, 10**6 + 1)
 
 
+def test_exceptional_set_k_limit():
+    assert exceptional_set(500, 600)[-1] == 500 + 13
+    for call in (exceptional_set, verify_dubouis):
+        with pytest.raises(ValueError, match="k must be at most 500"):
+            call(501, 10)
+
+
 def test_exceptional_set_matches_pointwise_decision():
     for k in (1, 2, 3, 4, 6):
         members = set(exceptional_set(k, 2000))

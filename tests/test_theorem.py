@@ -121,7 +121,7 @@ def test_verify_case_k4():
     assert report.manifest == tuple(f"target:{t}" for t, _ in displayed)
     doubling = next(c for c in report.checks if c.name == "doubling-witnesses")
     assert doubling.detail == "m=1..3; parts below 2*4^m"
-    # budget is keyword-only, so a call in the old (max_m, bound) form fails
+    # bound is the only parameter, so a call in the old (max_m, bound) form fails
     with pytest.raises(TypeError):
         verify_case_k4(3, 100)
 
@@ -234,9 +234,9 @@ def test_induction_failure_reason_reported(monkeypatch):
             raise NoWitnessError("stub")
         return real_search(n, k, pinned)
 
-    def forget_7(k, budget):
+    def forget_7(k):
         monkeypatch.setattr(solver_module, "find_witness", real_search)
-        replayed = real_replay(k, budget=budget)
+        replayed = real_replay(k)
         replayed.state.pinned.discard(7)
         monkeypatch.setattr(solver_module, "find_witness", fail_at_7)
         return replayed
@@ -364,7 +364,7 @@ def test_certificate_steps_pass_the_checker():
 
 
 def test_replay_mismatch_ends_the_route(monkeypatch):
-    def mismatch(k, budget):
+    def mismatch(k):
         raise ReplayMismatchError("stub", 2, "{2}", "{-2,2}")
 
     monkeypatch.setattr(theorem_module, "replay_script", mismatch)

@@ -86,7 +86,6 @@ class ReplayStage(NamedTuple):
     expects: Tuple[Expectation, ...] = ()
     induction_range: Optional[Tuple[int, int]] = None
     joint_pair_check: bool = False  # the k >= 8 two-equation system check
-    displayed: bool = False  # its sums of squares are displayed in the paper
 
 
 class StageOutcome(NamedTuple):
@@ -127,7 +126,6 @@ def _stages_k4() -> List[ReplayStage]:
             "chain-12",
             (_sos(12, 3, 1, 1, 1), Multiplicative(12, 3, 4)),
             (Expectation(3, _vset(1, 3)),),
-            displayed=True,
         ),
         ReplayStage(
             "chain-20-28",
@@ -138,7 +136,6 @@ def _stages_k4() -> List[ReplayStage]:
                 Multiplicative(28, 4, 7),
             ),
             (Expectation(5, _vset(1, 5)), Expectation(7, _vset(1, 7))),
-            displayed=True,
         ),
         ReplayStage(
             "chain-35",
@@ -148,19 +145,16 @@ def _stages_k4() -> List[ReplayStage]:
                 Expectation(5, _vset(5)),
                 Expectation(7, _vset(7)),
             ),
-            displayed=True,
         ),
         ReplayStage(
             "chain-10-7",
             (_sos(10, 2, 2, 1, 1), Multiplicative(10, 2, 5), _sos(7, 2, 1, 1, 1)),
             (Expectation(2, _vset(2)),),
-            displayed=True,
         ),
         ReplayStage(
             "chain-18",
             (_sos(18, 3, 2, 2, 1), Multiplicative(18, 2, 9)),
             (Expectation(9, _vset(9)),),
-            displayed=True,
         ),
         ReplayStage(
             "remaining-odd-exceptions",
@@ -224,7 +218,6 @@ def _stages_k5() -> List[ReplayStage]:
                 Multiplicative(20, 4, 5),
             ),
             (Expectation(4, _vset(1, 4)),),
-            displayed=True,
         ),
         ReplayStage(
             "chain-29",
@@ -239,7 +232,6 @@ def _stages_k5() -> List[ReplayStage]:
                 Expectation(3, _pm(3)),
                 Expectation(4, _vset(4)),
             ),
-            displayed=True,
         ),
         ReplayStage(
             "sign-resolution",
@@ -291,7 +283,6 @@ def _stages_k6() -> List[ReplayStage]:
                 Expectation(4, _pm(4)),
                 Expectation(5, _vset(5)),
             ),
-            displayed=True,
         ),
         ReplayStage(
             "sign-resolution",
@@ -331,7 +322,6 @@ def _stages_k7() -> List[ReplayStage]:
             "chain-55",
             (_sos(55, 7, 1, 1, 1, 1, 1, 1), _sos(55, 5, 5, 1, 1, 1, 1, 1)),
             (Expectation(55, _vset(55)), Expectation(5, _pm(5))),
-            displayed=True,
         ),
         ReplayStage(
             "block-31-42",
@@ -352,7 +342,6 @@ def _stages_k7() -> List[ReplayStage]:
                 Expectation(4, _pm(4)),
                 Expectation(5, _pm(5)),
             ),
-            displayed=True,
         ),
         ReplayStage(
             "sign-resolution",
@@ -606,7 +595,8 @@ def _joint_pair_solutions(state: SolverState) -> set:
 
 
 # the scripts of k = 4..7 depend on nothing else, so each is built once, at
-# import, and shared by every replay_script and displayed_identities call
+# import, and shared by every replay_script call; building one checks the
+# square sum of each of its SumOfSquares
 _FIXED_SCRIPTS = {
     4: tuple(_stages_k4()),
     5: tuple(_stages_k5()),
@@ -622,18 +612,6 @@ def _stages(k: int) -> Sequence[ReplayStage]:
     if k in _FIXED_SCRIPTS:
         return _FIXED_SCRIPTS[k]
     return _stages_general(k)
-
-
-def displayed_identities(k: int) -> List[SumOfSquares]:
-    """The sums of squares the paper displays for case k, in script order:
-    those of the stages marked displayed (none for k >= 8)."""
-    return [
-        c
-        for stage in _stages(k)
-        if stage.displayed
-        for c in stage.constraints
-        if isinstance(c, SumOfSquares)
-    ]
 
 
 def replay_script(k: int) -> ReplayResult:

@@ -255,6 +255,11 @@ class SolverState:
     def add_constraints(self, constraints: Iterable[Constraint]) -> None:
         for c in constraints:
             if isinstance(c, SumOfSquares):
+                # the equation holds for sums of exactly k squares only
+                if len(c.parts) != self.k:
+                    raise ValueError(
+                        f"{c.label()} has {len(c.parts)} parts, not k = {self.k}"
+                    )
                 kind = "sum"
                 rhs = sos_rhs(c, split=False)
                 forms = [(c.label(), rhs)]

@@ -1,14 +1,18 @@
 """End-to-end verification that the functional equation forces the identity.
 
-For each k >= 4 the checker validates every displayed identity behind the
-deduction (with exact algebra for the k >= 8 constructions) and replays the
-scripted chain.  The replay's pinned set S, the arguments it shows have
-f(s) = s, is the trust base of the rest: an induction certificate extends S
-to every n up to a bound, one witness per n, by the lemma checked in
-multsquares.certificate (m in S coprime to n and n*m a sum of k squares of
-members of S give f(n) = n).  A witness search finds each step and
-certificate.check_step confirms it in integer arithmetic.  No solver runs
-after the replay, whose fixed script needs no propagation budget.
+For each k >= 4 the checker runs the case's own checks, each of which can
+fail (the k = 4 doubling witnesses; for k >= 8 the padded double
+representations, the small identity table and the parametric families),
+and replays the scripted chain.  The sums of squares the replay feeds the
+engine need no check here: each SumOfSquares checks its sum when it is
+built, and the engine refuses one whose part count is not k.  The replay's
+pinned set S, the arguments it shows have f(s) = s, is the trust base of
+the rest: an induction certificate extends S to every n up to a bound, one
+witness per n, by the lemma checked in multsquares.certificate (m in S
+coprime to n and n*m a sum of k squares of members of S give f(n) = n).
+A witness search finds each step and certificate.check_step confirms it in
+integer arithmetic.  No solver runs after the replay, whose fixed script
+needs no propagation budget.
 """
 
 from __future__ import annotations
@@ -23,13 +27,11 @@ from .replay import (
     SMALL_IDENTITY_TABLE,
     ParametricIdentity,
     ReplayMismatchError,
-    construction,
-    displayed_identities,
     padded_pairs,
     replay_script,
 )
 from .solver import certify_induction, solve
-from .squares import UnsupportedKError, iter_representations
+from .squares import MAX_K, UnsupportedKError, iter_representations
 
 DEFAULT_BOUND = 300
 
@@ -47,7 +49,6 @@ class CaseReport(NamedTuple):
     case: str
     k: int
     checks: Tuple[CheckResult, ...]
-    manifest: Tuple[str, ...] = ()
     verdict: Optional[bool] = None  # None: exploration run, no pass/fail
 
     @property
@@ -61,7 +62,6 @@ class CaseReport(NamedTuple):
             "case": self.case,
             "k": self.k,
             "checks": [c.to_dict() for c in self.checks],
-            "manifest": list(self.manifest),
             "all_passed": self.all_passed,
         }
 
@@ -98,22 +98,8 @@ def check_parametric(identity: ParametricIdentity, l_max: int) -> CheckResult:
     )
 
 
-def _check_displayed(k: int) -> Tuple[List[CheckResult], Tuple[str, ...]]:
-    """A check per sum of squares the paper displays for k, and the manifest
-    of their targets.  They are read from the replay script, where each
-    SumOfSquares checked its sum when it was built (a wrong one raises
-    ValueError there)."""
-    shown = displayed_identities(k)
-    checks = [CheckResult(f"displayed:{c.target}:{c.parts}", True) for c in shown]
-    return checks, tuple(f"target:{c.target}" for c in shown)
-
-
 def _proof_route(
-    case: str,
-    k: int,
-    checks: List[CheckResult],
-    manifest: Tuple[str, ...],
-    bound: int,
+    case: str, k: int, checks: List[CheckResult], bound: int
 ) -> CaseReport:
     """The tail every case k >= 4 shares after its own identity checks.
 
@@ -145,7 +131,7 @@ def _proof_route(
                 "" if not missing else f"unpinned: {missing[:10]}",
             ),
         ]
-    return CaseReport(case, k, tuple(checks), manifest, True)
+    return CaseReport(case, k, tuple(checks), True)
 
 
 # the doubling step's witnesses are checked for m = 1..DOUBLING_MAX_M
@@ -153,31 +139,27 @@ DOUBLING_MAX_M = 3
 
 
 def verify_case_k4(bound: int) -> CaseReport:
-    """Checks for k = 4: displayed identities and the 4^m doubling step
-    witnesses, then the shared proof route."""
-    checks, manifest = _check_displayed(4)
+    """Checks for k = 4: the 4^m doubling step witnesses, then the shared
+    proof route."""
     bad = []
     for m in range(1, DOUBLING_MAX_M + 1):
         if next(iter_representations(10 * 4**m, 4, 2 * 4**m - 1), None) is None:
             bad.append(m)
-    checks.append(
-        CheckResult(
-            "doubling-witnesses",
-            not bad,
-            f"m=1..{DOUBLING_MAX_M}; parts below 2*4^m"
-            + ("" if not bad else f"; failed at {bad}"),
-        )
+    doubling = CheckResult(
+        "doubling-witnesses",
+        not bad,
+        f"m=1..{DOUBLING_MAX_M}; parts below 2*4^m"
+        + ("" if not bad else f"; failed at {bad}"),
     )
-    return _proof_route("four-squares", 4, checks, manifest, bound)
+    return _proof_route("four-squares", 4, [doubling], bound)
 
 
 def verify_case_k(k: int, bound: int) -> CaseReport:
-    """Checks for k in {5, 6, 7}: displayed identities, then the shared
-    proof route."""
+    """Checks for k in {5, 6, 7}: the shared proof route alone, whose
+    replay feeds the engine each sum of squares the case displays."""
     if k not in (5, 6, 7):
         raise UnsupportedKError("this case verifier handles k in {5, 6, 7}")
-    checks, manifest = _check_displayed(k)
-    return _proof_route(f"{k}-squares", k, checks, manifest, bound)
+    return _proof_route(f"{k}-squares", k, [], bound)
 
 
 def _pair_check(
@@ -190,10 +172,11 @@ def _pair_check(
 
 
 def verify_case_general(k: int, bound: int) -> CaseReport:
-    """Checks for k >= 8: padded double representations, the semigroup
-    construction, the small identity table, the parametric families, then
-    the shared proof route.  The sign pairs the 40/32 system allows are
-    solved by the replay's joint check alone."""
+    """Checks for k >= 8: padded double representations, the small
+    identity table, the parametric families, then the shared proof route.
+    The sign pairs the 40/32 system allows are solved by the replay's joint
+    check alone, and the k-part representation of k^2 + k - 1 is checked
+    by its SumOfSquares in the replay."""
     if k < 8:
         raise UnsupportedKError("general case requires k >= 8")
     checks: List[CheckResult] = []
@@ -202,21 +185,6 @@ def verify_case_general(k: int, bound: int) -> CaseReport:
     for name, first, second in padded_pairs(DOUBLE_REPRESENTATIONS, k):
         checks.append(_pair_check(name, first, second, "target"))
 
-    # the k-part representation of k^2 + k - 1: after its k - 1, a 2s and
-    # b 3s with 3a + 8b = 2k - 1, then spare ones.  The replay builds the
-    # same parts as a SumOfSquares, which checks their sum (a wrong one
-    # raises ValueError there).
-    parts = construction(k)
-    a, b, spare = (parts[1:].count(x) for x in (2, 3, 1))
-    checks.append(
-        CheckResult(
-            "semigroup-2k-1",
-            3 * a + 8 * b == 2 * k - 1,
-            f"3*{a}+8*{b}={2 * k - 1}, spare ones {spare}",
-        )
-    )
-    checks.append(CheckResult("construction", True, f"parts {parts}"))
-
     # the small identity table pads to equal-target pairs
     for base, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k):
         checks.append(_pair_check(f"identity-{base}", lhs, rhs, "padded target"))
@@ -224,25 +192,21 @@ def verify_case_general(k: int, bound: int) -> CaseReport:
     # the parametric identities
     checks += [check_parametric(identity, 1000) for identity in (ODD_STEP, EVEN_STEP)]
 
-    manifest = (
-        "target:40",
-        "target:32",
-        "target:k^2+k-1",
-        "small-identity-table",
-        "parametric-odd",
-        "parametric-even",
-    )
-    return _proof_route("general", k, checks, manifest, bound)
+    return _proof_route("general", k, checks, bound)
 
 
 def theorem_check(k: int, bound: int = DEFAULT_BOUND) -> CaseReport:
-    """Dispatch to the case verifier and require full pinning up to bound."""
+    """Dispatch to the case verifier and require full pinning up to bound;
+    k and bound are refused before any case is built."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > MAX_SOLVER_BOUND:
         raise ValueError(f"bound must be at most {MAX_SOLVER_BOUND}")
+    if k > MAX_K:
+        # before the case verifiers pad any tuple to k parts
+        raise ValueError(f"k must be at most {MAX_K}")
     if k in (2, 3):
         # these cases rest on external characterizations; run the engine
         # in exploration mode and report what it pins, with no verdict

@@ -270,6 +270,7 @@ def test_k_above_limit_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(constraints_module, "enumerate_representations", refuse)
     monkeypatch.setattr(replay_module, "_stages", refuse)
+    monkeypatch.setattr(replay_module, "pad", refuse)
     path = tmp_path / "values.json"
     path.write_text(json.dumps({"2": "2"}), encoding="utf-8")
     for argv in (

@@ -154,6 +154,15 @@ def test_non_real_root_prunes_nothing():
     assert state.square_candidates(3) is None
 
 
+def test_sum_with_wrong_part_count_is_refused():
+    # 5 = 2^2 + 1^2 holds, but a 5-state reads sums of exactly 5 squares
+    state = SolverState(5, 60)
+    message = r"f\(5\)=f\(2\)\^2\+f\(1\)\^2 has 2 parts, not k = 5"
+    with pytest.raises(ValueError, match=message):
+        state.add_constraints([SumOfSquares(5, (2, 1))])
+    assert state._equations == []
+
+
 def test_sign_resolution_through_products():
     # once f(m) and f(2m) are pinned with m odd, f(2) follows by division
     state = SolverState(5, 30)
@@ -215,12 +224,12 @@ TRACE_DIGESTS = {
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
     ("sweep", 5): "e6f3db3686a44a2a41915b167ac4cbfcbc66544b0fdd751802d8ab19a0a1913b",
     ("sweep", 13): "135a8818cd08c8ecfe9a48774ddaf92b50b28ffceb769358a6b2942dccd13601",
-    ("theorem", 4): "51f0fcd7732a737de5f115a93b57968b08dbfbc03691d9d90d5f171a8473b4c1",
-    ("theorem", 5): "32a72aa7e447530dfeb45eb34478a7e19e79c7608e8390597b792e689f1b3846",
-    ("theorem", 6): "0567ce5faf55f8f2d3618f2a397e6b2dbc07fc98ece0240f297703bb1a46a37b",
-    ("theorem", 7): "5cd1d42e2042d4b49e979915387f9350856a0c158740ea13ee2b37cdfd19f03f",
-    ("theorem", 8): "03598041aff581bfa3d06cf9260b655102582d9fe4a255878e4f56c537fd9e94",
-    ("theorem", 13): "ffb0e020ac6a19023e5b95f98f339eadfa2e497f3e6f06f3e476d2cfadaa581e",
+    ("theorem", 4): "3845d269cbcd2035ec17799fc36afc3f57b7d6f0b7f8b2ef4917a3817f8db35e",
+    ("theorem", 5): "e56865a31fc290d6328503747a1d99991419a22c674ed017312003e0244068a3",
+    ("theorem", 6): "4c660b3cdff3795c73f6e18e0f6a0dfb4e44e79e6a341ee82d6fa81af4050c6e",
+    ("theorem", 7): "1d1fb2278247af0b5fd729443e76b7c84afaf23d9a54989986b65930e3fbaab7",
+    ("theorem", 8): "8f715ed3322b1acf2ab80ffc9a042cba185e2f9a7d5dd27ac07c727245a9380c",
+    ("theorem", 13): "57572ea50023e8e7b9ec686f48c59f5343b62060cd6997ff557e5b7c8e873061",
 }
 
 
@@ -250,7 +259,7 @@ def test_trace_determinism():
     assert changed == []
 
 
-def test_stall_index_matches_full_rescan():
+def test_target_by_target_intake_pins_all():
     # an intake one target at a time ends each propagate in a stall round,
     # with certified pins between them
     for k in (3, 4, 5, 13):
@@ -319,7 +328,7 @@ def test_pinned_unknowns_of_open_equations_are_not_revised(monkeypatch):
     assert not any(calls)
 
 
-def test_settled_equation_retires(monkeypatch):
+def test_settled_equation_is_skipped(monkeypatch):
     narrowed = []
     original = SolverState._narrow_var
 
@@ -387,10 +396,6 @@ def _differential_runs(monkeypatch):
     return envelopes, states
 
 
-def live_equations(state):
-    return sum(eq is not None for eq in state._equations)
-
-
 def test_wake_up_rule_matches_waking_every_equation(monkeypatch):
     envelopes, states = _differential_runs(monkeypatch)
     original = SolverState._set
@@ -412,7 +417,7 @@ def test_wake_up_rule_matches_waking_every_equation(monkeypatch):
         assert state.trace == ref.trace
         assert state.pinned == ref.pinned
         assert state._ops <= ref._ops
-        assert live_equations(state) <= live_equations(ref)
+        assert len(state._equations) <= len(ref._equations)
     # the first state of k = 13 and bound 60 is replay_script(13)'s
     replay13 = next(i for i, s in enumerate(states) if (s.k, s.bound) == (13, 60))
     assert states[replay13]._ops < ref_states[replay13]._ops

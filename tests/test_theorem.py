@@ -8,7 +8,12 @@ import multsquares.theorem as theorem_module
 from multsquares.arith import represent_in_semigroup
 from multsquares.certificate import check_step
 from multsquares.gaussian import gauss
-from multsquares.replay import EXPECTED_SIGN_PAIRS, ReplayMismatchError, replay_script
+from multsquares.replay import (
+    EXPECTED_SIGN_PAIRS,
+    ReplayMismatchError,
+    construction,
+    replay_script,
+)
 from multsquares.solver import NoWitnessError, find_witness
 from multsquares.theorem import (
     EVEN_STEP,
@@ -106,19 +111,12 @@ def test_parametric_polynomial_expansion():
 def test_verify_case_k4():
     report = verify_case_k4(100)
     assert report.all_passed, failed_checks(report)
-    displayed = [
-        (12, (3, 1, 1, 1)),
-        (20, (3, 3, 1, 1)),
-        (28, (3, 3, 3, 1)),
-        (35, (4, 3, 3, 1)),
-        (10, (2, 2, 1, 1)),
-        (7, (2, 1, 1, 1)),
-        (18, (3, 2, 2, 1)),
-    ]
     assert [c.name for c in report.checks] == [
-        f"displayed:{t}:{parts}" for t, parts in displayed
-    ] + ["doubling-witnesses", "replay", "induction", "pinned-to-100"]
-    assert report.manifest == tuple(f"target:{t}" for t, _ in displayed)
+        "doubling-witnesses",
+        "replay",
+        "induction",
+        "pinned-to-100",
+    ]
     doubling = next(c for c in report.checks if c.name == "doubling-witnesses")
     assert doubling.detail == "m=1..3; parts below 2*4^m"
     # bound is the only parameter, so a call in the old (max_m, bound) form fails
@@ -137,10 +135,7 @@ def test_verify_case_k_small_bounds():
 def test_verify_case_general_k8():
     report = verify_case_general(8, 60)
     assert report.all_passed, failed_checks(report)
-    semigroup = next(c for c in report.checks if c.name == "semigroup-2k-1")
-    assert "3*5+8*0=15" in semigroup.detail
-    construction = next(c for c in report.checks if c.name == "construction")
-    assert "(7, 2, 2, 2, 2, 2, 1, 1)" in construction.detail
+    assert construction(8) == (7, 2, 2, 2, 2, 2, 1, 1)
 
 
 def test_verify_case_general_k9_semigroup_choice():
@@ -163,13 +158,21 @@ def test_unequal_identity_row_fails_its_check(monkeypatch):
 
 
 def test_wrong_construction_is_caught_by_the_replay(monkeypatch):
-    # (k-1)^2 + (k-1) ones sum to k^2 - k, not k^2 + k - 1; theorem check (d)
-    # reports the parts the replay builds, and the replay's SumOfSquares
-    # refuses them
+    # (k-1)^2 + (k-1) ones sum to k^2 - k, not k^2 + k - 1; the replay's
+    # SumOfSquares refuses them when it is built
     monkeypatch.setattr(
         replay_module, "construction", lambda k: (k - 1,) + (1,) * (k - 1)
     )
     with pytest.raises(ValueError, match="squares sum to 56, not 71"):
+        theorem_check(8, 60)
+
+
+def test_construction_with_extra_parts_is_refused_by_the_engine(monkeypatch):
+    # 49 + 9 + 4 + 4 + 5 ones = 71 = 8^2 + 8 - 1, but in 9 parts, not 8
+    monkeypatch.setattr(
+        replay_module, "construction", lambda k: (7, 3, 2, 2, 1, 1, 1, 1, 1)
+    )
+    with pytest.raises(ValueError, match="has 9 parts, not k = 8"):
         theorem_check(8, 60)
 
 
@@ -379,7 +382,7 @@ def test_replay_mismatch_ends_the_route(monkeypatch):
 def test_case_report_serialization():
     report = theorem_check(5, 40)
     d = report.to_dict()
-    assert set(d) == {"case", "k", "checks", "manifest", "all_passed"}
+    assert set(d) == {"case", "k", "checks", "all_passed"}
     assert d["all_passed"] is True
     assert all(set(c) == {"name", "passed", "detail"} for c in d["checks"])
 

@@ -132,7 +132,7 @@ def _cmd_check(args) -> (Any, bool):
         "violations": [v.to_dict() for v in violations],
         "violation_count": len(violations),
     }
-    return result, True
+    return result, not violations
 
 
 def _cmd_frobenius(args) -> (Any, bool):

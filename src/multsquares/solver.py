@@ -348,30 +348,47 @@ class SolverState:
                 self._narrow_var(eq, var)
 
     def _revised(self, eq: _Equation) -> Tuple[int, ...]:
-        """The unknowns of eq worth revising: the open ones (value set
-        unknown or of size > 1), or, for an all-pinned eq that fails
-        _holds_pinned, every unknown, the first of which then empties.  A
-        pinned unknown's revision can only empty it, and it is supported
-        whenever an open unknown's revision keeps a candidate, since that
-        candidate's supporting assignment holds the pinned value; an open
+        """The unknowns of eq it can split: the open ones (value set unknown
+        or of size > 1) that are not sign-settled in eq (see _settled).  If
+        there are none, the open ones; for an all-pinned eq that fails
+        _holds_pinned, every unknown.  A pinned or sign-settled unknown's
+        revision can only empty its set, since eq reads a sign-settled x
+        only through x^2.  Whenever a splittable unknown's revision keeps a
+        candidate, that candidate's supporting assignment holds a value of
+        each such unknown, and holds with its negation too; a splittable
         revision that keeps none raises first."""
         values = self._values
         open_vars = tuple(
             v for v in eq.vars if values[v] is None or len(values[v]) > 1
         )
-        return open_vars or eq.vars
+        split = tuple(v for v in open_vars if not self._settled(eq, v))
+        return split or open_vars or eq.vars
+
+    def _settled(self, eq: _Equation, v: int) -> bool:
+        """Whether v is sign-settled in eq: its value set is known, has one
+        square (such as {-7, 7}), and eq has only even powers of v."""
+        return (
+            v not in eq.odd
+            and self._values[v] is not None
+            and len(self._squares[v]) == 1
+        )
 
     def _holds_pinned(self, eq: _Equation) -> bool:
-        """Whether every unknown of eq holds one value and eq holds there
-        (False when a value set is unknown).  _drain skips such an eq: a
-        single value can only shrink to empty, which raises in the equation
-        that empties it."""
+        """Whether every unknown of eq is pinned or sign-settled and eq
+        holds there, a sign-settled x read at |x| (False when a value set is
+        unknown).  _drain skips such an eq: its unknowns can only shrink to
+        empty, which raises in the equation that empties them."""
         point = {}
         for v in eq.vars:
             vals = self._values[v]
-            if vals is None or len(vals) != 1:
+            if vals is None:
                 return False
-            (point[v],) = vals
+            if len(vals) == 1:
+                (point[v],) = vals
+            elif self._settled(eq, v):
+                point[v] = max(vals)
+            else:
+                return False
         total = 0
         for mono, term in eq.poly.items():
             for u, p in mono:

@@ -130,11 +130,29 @@ def test_check_command(tmp_path, capsys):
         "check", "--k", "4", "--bound", "12", "--values", str(path),
         capsys=capsys,
     )
-    assert code == 0
+    # a violated constraint is a failed check
+    assert code == 1
     env = parse(out)
+    assert env["status"] == "failed"
     assert env["result"]["violation_count"] == 1
     v = env["result"]["violations"][0]
     assert v["target"] == 12 and v["lhs"] == "-12" and v["rhs"] == "12"
+
+
+def test_check_identity_exits_0(tmp_path, capsys):
+    values = {str(q): str(q) for q in (2, 4, 8, 3, 9, 5, 7, 11)}
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    code, out, _ = run_cli(
+        "check", "--k", "4", "--bound", "12", "--values", str(path),
+        capsys=capsys,
+    )
+    assert code == 0
+    env = parse(out)
+    assert env["status"] == "ok"
+    assert env["result"] == {
+        "k": 4, "bound": 12, "violations": [], "violation_count": 0,
+    }
 
 
 def test_check_missing_value(tmp_path, capsys):

@@ -6,7 +6,8 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
+from math import gcd
 
 import pytest
 
@@ -271,14 +272,19 @@ def test_target_by_target_intake_pins_all():
         assert state.report().all_pinned, k
 
 
-def _pinned_sum(values):
-    """f(29) = f(4)^2 + 3 f(2)^2 + 1 with every unknown a single value."""
+def _sum_29(sets):
+    """f(29) = f(4)^2 + 3 f(2)^2 + 1 with the given value sets."""
     state = SolverState(5, 29)
-    for v, x in values.items():
-        state._values[v] = frozenset({x})
-        state._squares[v] = frozenset({x * x})
+    for v, xs in sets.items():
+        state._values[v] = frozenset(xs)
+        state._squares[v] = frozenset(x * x for x in xs)
     state.add_constraints([SumOfSquares(29, (4, 2, 2, 2, 1))])
     return state
+
+
+def _pinned_sum(values):
+    """_sum_29 with every unknown a single value."""
+    return _sum_29({v: {x} for v, x in values.items()})
 
 
 def test_settled_equation_that_fails_raises_as_narrowing_does():
@@ -306,24 +312,47 @@ def test_open_unknown_empties_before_pinned_ones():
     assert err.value.constraint == "f(29)=f(4)^2+f(2)^2+f(2)^2+f(2)^2+f(1)^2"
 
 
+def _is_open(state, v):
+    values = state._values[v]
+    return values is None or len(values) > 1
+
+
+def _sign_settled(state, eq, v):
+    """v's value set is known and has one square, and eq has only even
+    powers of v, so eq cannot tell x from -x."""
+    values = state._values[v]
+    odd = any(u == v and d % 2 for mono in eq.poly for u, d in mono)
+    return values is not None and len({x * x for x in values}) == 1 and not odd
+
+
 def test_pinned_unknowns_of_open_equations_are_not_revised(monkeypatch):
     calls = []
     original = SolverState._narrow_var
 
-    def is_open(state, v):
-        values = state._values[v]
-        return values is None or len(values) > 1
-
     def recording(state, eq, var):
-        pinned = not is_open(state, var)
-        calls.append(pinned and any(is_open(state, v) for v in eq.vars))
+        # a pinned unknown beside an open one, or a sign-settled unknown
+        # beside one the equation can split
+        pinned = not _is_open(state, var)
+        settled = _sign_settled(state, eq, var)
+        calls.append(
+            (pinned and any(_is_open(state, v) for v in eq.vars))
+            or (
+                settled
+                and any(
+                    _is_open(state, v) and not _sign_settled(state, eq, v)
+                    for v in eq.vars
+                )
+            )
+        )
         return original(state, eq, var)
 
     monkeypatch.setattr(SolverState, "_narrow_var", recording)
     solve(4, 60)
+    solve(5, 100)
     state = replay_script(13).state
     assert induction_sweep(state, 2, 200) is None
     assert theorem_check(8, 60).all_passed
+    assert theorem_check(13, 60).all_passed
     assert len(calls) > 1000
     assert not any(calls)
 
@@ -343,6 +372,40 @@ def test_settled_equation_is_skipped(monkeypatch):
     state._touch(4)
     state.propagate()
     assert narrowed == []
+
+
+def test_splittable_unknown_empties_before_sign_settled_ones():
+    # the sum reads f(2) in {-2, 2} only through f(2)^2 = 4, so only f(4),
+    # with two squares, is revised, and its set is the one that empties
+    # (revising every open unknown in order would empty f(2) first)
+    state = _sum_29({29: {29}, 2: {-2, 2}, 4: {1, 3}})
+    with pytest.raises(ContradictionError) as err:
+        state.propagate()
+    assert err.value.variable == 4
+    assert err.value.constraint == "f(29)=f(4)^2+f(2)^2+f(2)^2+f(2)^2+f(1)^2"
+
+
+def test_sign_settled_equation_that_holds_is_skipped(monkeypatch):
+    narrowed = []
+    original = SolverState._narrow_var
+
+    def recording(state, eq, var):
+        narrowed.append(var)
+        return original(state, eq, var)
+
+    monkeypatch.setattr(SolverState, "_narrow_var", recording)
+    # every unknown pinned or sign-settled, and 29 = 4^2 + 3 * 2^2 + 1
+    for f4 in ({4}, {-4, 4}):
+        narrowed.clear()
+        state = _sum_29({29: {29}, 2: {-2, 2}, 4: f4})
+        state.propagate()
+        assert narrowed == [] and state.trace == []
+    # f(29) has an odd power in the sum, so its sign is split there
+    state = _sum_29({29: {-29, 29}, 2: {-2, 2}, 4: {-4, 4}})
+    state.propagate()
+    assert narrowed == [29]
+    assert cand_strs(state, 29) == ["29"]
+    assert cand_strs(state, 2) == ["-2", "2"]
 
 
 def test_replay_keeps_every_equation():
@@ -421,6 +484,62 @@ def test_wake_up_rule_matches_waking_every_equation(monkeypatch):
     # the first state of k = 13 and bound 60 is replay_script(13)'s
     replay13 = next(i for i, s in enumerate(states) if (s.k, s.bound) == (13, 60))
     assert states[replay13]._ops < ref_states[replay13]._ops
+
+
+def _revise_every_open_unknown(state, eq):
+    # the reference rule: revise the open unknowns, sign-settled or not
+    return tuple(v for v in eq.vars if _is_open(state, v)) or eq.vars
+
+
+def _holds_at_single_values(state, eq):
+    # the reference rule: skip an equation only when every unknown is pinned
+    point = {}
+    for v in eq.vars:
+        vals = state._values[v]
+        if vals is None or len(vals) != 1:
+            return False
+        (point[v],) = vals
+    total = 0
+    for mono, term in eq.poly.items():
+        for u, p in mono:
+            term *= point[u] ** p
+        total += term
+    return total == 0
+
+
+def _counted_runs(monkeypatch):
+    """_differential_runs, with the _narrow_var calls of each state."""
+    counts = {}
+    original = SolverState._narrow_var
+
+    def counting(state, eq, var):
+        counts[id(state)] = counts.get(id(state), 0) + 1
+        return original(state, eq, var)
+
+    with monkeypatch.context() as m:
+        m.setattr(SolverState, "_narrow_var", counting)
+        envelopes, states = _differential_runs(monkeypatch)
+    return envelopes, states, [counts.get(id(s), 0) for s in states]
+
+
+def test_sign_settled_rule_matches_revising_every_open_unknown(monkeypatch):
+    envelopes, states, calls = _counted_runs(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(SolverState, "_revised", _revise_every_open_unknown)
+        m.setattr(SolverState, "_holds_pinned", _holds_at_single_values)
+        ref_envelopes, ref_states, ref_calls = _counted_runs(monkeypatch)
+    assert envelopes == ref_envelopes
+    assert len(states) == len(ref_states)
+    for state, ref in zip(states, ref_states):
+        assert (state.k, state.bound) == (ref.k, ref.bound)
+        assert state.trace == ref.trace
+        assert state.pinned == ref.pinned
+        assert state._ops == ref._ops
+        assert len(state._equations) == len(ref._equations)
+    assert sum(calls) < sum(ref_calls)
+    # the first state of k = 13 and bound 60 is replay_script(13)'s
+    replay13 = next(i for i, s in enumerate(states) if (s.k, s.bound) == (13, 60))
+    assert calls[replay13] < ref_calls[replay13]
 
 
 def test_induction_step_is_one_certified_pin():
@@ -677,58 +796,88 @@ def test_check_function_ignores_keys_above_bound():
     assert check_function(table, 4, 12) == []
 
 
-def _random_finite_state(rng, variables):
-    """Small random candidate sets over a few variables."""
+def _random_finite_state(rng, variables, signed):
+    """Small random candidate sets over a few variables, each holding the
+    variable's own value; with signed, about half are {-x, x} instead, for
+    x the variable's own value or a random one."""
     sets = {}
     for v in variables:
+        if signed and rng.random() < 0.5:
+            x = v if rng.random() < 0.5 else rng.randint(1, 6)
+            sets[v] = frozenset({gauss(x), gauss(-x)})
+            continue
         size = rng.randint(1, 4)
         vals = set()
         while len(vals) < size:
             vals.add(gauss(rng.randint(-6, 6)))
-        sets[v] = frozenset(vals)
+        sets[v] = frozenset(vals | {gauss(v)})
     return sets
 
 
-def test_pruning_validity_random_sum_constraints():
-    """Every value the engine removes has no satisfying completion."""
-    rng = random.Random(20260808)
-    for _ in range(120):
-        k = rng.randint(2, 4)
-        parts = sorted((rng.randint(2, 5) for _ in range(k)), reverse=True)
-        target = sum(x * x for x in parts)
-        c = SumOfSquares(target, tuple(parts))
-        variables = sorted({target, *parts})
-        sets = _random_finite_state(rng, variables)
-        sets[target] = sets[target] | {gauss(target)}
-        for x in parts:
-            sets[x] = sets[x] | {gauss(x)}
+COPRIME_SPLITS = [(m, l) for l in range(3, 8) for m in range(2, l) if gcd(m, l) == 1]
 
-        state = SolverState(k, target)
+
+def _random_constraint(rng):
+    """k, a constraint, and its unknowns: a sum of 2 to 4 squares of parts
+    2..5, or a product over a coprime split of at most 7 * 6."""
+    k = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        parts = sorted((rng.randint(2, 5) for _ in range(k)), reverse=True)
+        c = SumOfSquares(sum(x * x for x in parts), tuple(parts))
+        return k, c, sorted({c.target, *parts})
+    m, l = rng.choice(COPRIME_SPLITS)
+    return k, Multiplicative(m * l, m, l), [m, l, m * l]
+
+
+def _holds(c, assign):
+    if isinstance(c, Multiplicative):
+        return assign[c.target] == assign[c.m] * assign[c.l]
+    total = gauss(0)
+    for x in c.parts:
+        total = total + assign[x].square()
+    return assign[c.target] == total
+
+
+def test_pruning_validity_random_constraints():
+    """Survivors are exactly the values of the assignments that satisfy the
+    constraint, found by brute force; with none, propagation raises."""
+    rng = random.Random(20260808)
+    signed_even = signed_odd = contradictions = 0
+    for trial in range(360):
+        k, c, variables = _random_constraint(rng)
+        sets = _random_finite_state(rng, variables, signed=trial % 2 == 1)
+        state = SolverState(k, c.target)
         for v, vals in sets.items():
             state._values[v] = frozenset(w.re for w in vals)
             state._squares[v] = frozenset(w.re * w.re for w in vals)
         state.add_constraints([c])
+        solutions = [
+            assign
+            for assign in (
+                dict(zip(variables, combo))
+                for combo in product(*(sets[v] for v in variables))
+            )
+            if _holds(c, assign)
+        ]
+        if not solutions:
+            contradictions += 1
+            with pytest.raises(ContradictionError):
+                state.propagate()
+            continue
         state.propagate()
-
-        # exhaustive check: survivors are exactly the consistent values
-        def consistent(var, value):
-            others = [v for v in variables if v != var]
-            import itertools
-
-            for combo in itertools.product(*(sets[o] for o in others)):
-                assign = dict(zip(others, combo))
-                assign[var] = value
-                total = gauss(0)
-                for x in parts:
-                    total = total + assign[x].square()
-                if assign[target] == total:
-                    return True
-            return False
-
         for var in variables:
-            survivors = state.candidates(var)
-            expected = {w for w in sets[var] if consistent(var, w)}
-            assert survivors == frozenset(expected), (c, var)
+            expected = frozenset(assign[var] for assign in solutions)
+            assert state.candidates(var) == expected, (c, sets, var)
+        # {-x, x} sets read only through x^2 (sum parts), or also by sign
+        signed = {
+            v
+            for v in variables
+            if len(sets[v]) == 2 and len({w.square() for w in sets[v]}) == 1
+        }
+        even = set(c.parts) if isinstance(c, SumOfSquares) else set()
+        signed_even += bool(signed & even)
+        signed_odd += bool(signed - even)
+    assert min(signed_even, signed_odd, contradictions) > 20
 
 
 def test_report_shape():

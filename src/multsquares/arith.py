@@ -100,15 +100,6 @@ class SemigroupPair(namedtuple("SemigroupPair", "a b")):
             raise NotCoprimeError(f"gcd({a}, {b}) != 1")
         return super().__new__(cls, a, b)
 
-    def frobenius_number(self) -> int:
-        return frobenius_number(self.a, self.b)
-
-    def nonrepresentable(self) -> List[int]:
-        return nonrepresentable_set(self.a, self.b)
-
-    def represent(self, t: int) -> Tuple[int, int]:
-        return represent_in_semigroup(t, self.a, self.b)
-
 
 def frobenius_number(a: int, b: int) -> int:
     """Largest integer not expressible as xa + yb with x, y >= 0."""

@@ -18,15 +18,10 @@ from .squares import MAX_K, Representation, enumerate_representations
 from . import arith
 
 
-class SumOfSquares(namedtuple("SumOfSquares", "target parts")):
-    """f(target) = sum of f(part)^2 over parts (a valid representation)."""
+class SumOfSquares(Representation):
+    """f(target) = sum of f(part)^2 over parts, a representation of target."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace uses it
-
-    def __new__(cls, target: int, parts: Tuple[int, ...]):
-        Representation(target, parts)  # validates structure
-        return super().__new__(cls, target, parts)
 
     def label(self) -> str:
         inner = "+".join(f"f({x})^2" for x in self.parts)

@@ -103,39 +103,30 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_TERM = _re.compile(r"([+-]?)(\d+(?:/\d+)?)?(i?)")
+_NUMBER = r"\d+(?:/\d+)?"
+# a real part, an imaginary part, or both; after a real part the imaginary
+# part needs its sign, the one place where whitespace may appear
+_VALUE = _re.compile(
+    rf"(?P<re>[+-]?{_NUMBER})?"
+    rf"(?:(?P<sign>(?(re)\s*[+-]\s*|[+-]?))(?P<im>(?:{_NUMBER})?)i)?"
+)
 
 
 def parse_value(text: str) -> GaussianRational:
-    """Parse a value string like "3", "-5/2", "2i", or "1+2i"."""
-    s = text.strip().replace(" ", "")
+    """Parse a value string like "3", "-5/2", "2i", "-i", "1+2i" or
+    "1 - 3/4i", with whitespace allowed around it."""
+    s = text.strip()
     if not s:
         raise ValueError("empty value string")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    pos = 0
-    seen = False
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse value {text!r}")
-        sign, digits, imag = m.groups()
-        if digits is None and not imag:
-            raise ValueError(f"cannot parse value {text!r}")
-        try:
-            q = Fraction(digits) if digits else Fraction(1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        if sign == "-":
-            q = -q
-        if imag:
-            im_part += q
-        else:
-            re_part += q
-        seen = True
-        pos = m.end()
-    if not seen:
+    m = _VALUE.fullmatch(s)
+    if m is None:
         raise ValueError(f"cannot parse value {text!r}")
+    re_text, sign, im_text = m.group("re", "sign", "im")
+    try:
+        re_part = Fraction(re_text or 0)
+        im_part = 0 if im_text is None else Fraction(sign.strip() + (im_text or "1"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     return GaussianRational(re_part, im_part)
 
 

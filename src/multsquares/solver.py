@@ -616,7 +616,7 @@ class SolverState:
                             continue
                         self._elim_tried.add(key)
                         ei, ej = self._equations[ids[i]], self._equations[ids[j]]
-                        res = _resultant(ei.poly, ej.poly, x)
+                        res = _resultant(ei, ej, x)
                         if res is None:
                             continue
                         res = poly_normalize(res)
@@ -652,36 +652,22 @@ class SolverState:
         )
 
 
-def _coeffs_in(poly: Poly, x: int, scale: int) -> Optional[List[Poly]]:
-    """Coefficients [A0, A1, A2] of poly viewed in x^scale; None if degree > 2."""
+def _coeffs_in(eq: _Equation, x: int, scale: int) -> Optional[List[Poly]]:
+    """Coefficients [A0, A1, A2] of eq's polynomial in x^scale, read from
+    its cached decomposition in x; None if the degree is above 2."""
     out: List[Poly] = [{}, {}, {}]
-    for mono, c in poly.items():
-        d = 0
-        residual = []
-        for u, p in mono:
-            if u == x:
-                d = p
-            else:
-                residual.append((u, p))
-        if d % scale:
+    for d, rest, c in eq.decomposition(x):
+        if d > 2 * scale:
             return None
-        d //= scale
-        if d > 2:
-            return None
-        out[d] = poly_add(out[d], {tuple(residual): c})
+        out[d // scale][rest] = c
     return out
 
 
-def _resultant(p: Poly, q: Poly, x: int) -> Optional[Poly]:
-    """Resultant of p and q eliminating x; vanishes on every common root."""
-
-    def x_powers(poly: Poly) -> List[int]:
-        return [pw for mono in poly for v, pw in mono if v == x]
-
-    powers = x_powers(p) + x_powers(q)
-    if not powers:
-        return None
-    scale = 2 if all(pw % 2 == 0 for pw in powers) else 1
+def _resultant(p: _Equation, q: _Equation, x: int) -> Optional[Poly]:
+    """Resultant of two equations eliminating x; it vanishes on every common
+    root.  It works in x^2 when x is in neither `odd` set, else in x, and
+    is None unless both have degree 1 or 2 there."""
+    scale = 1 if x in p.odd or x in q.odd else 2
     a = _coeffs_in(p, x, scale)
     b = _coeffs_in(q, x, scale)
     if a is None or b is None:

@@ -121,9 +121,3 @@ def test_represent_in_semigroup_property():
             for yy in range(y + 1, t // 8 + 1):
                 assert (t - 8 * yy) % 3 != 0 or t - 8 * yy < 0
 
-
-def test_semigroup_pair_methods():
-    pair = SemigroupPair(3, 8)
-    assert pair.frobenius_number() == 13
-    assert pair.nonrepresentable() == [1, 2, 4, 5, 7, 10, 13]
-    assert pair.represent(19) == (1, 2)

@@ -184,6 +184,8 @@ def test_check_bad_values_exit_2(tmp_path, capsys):
     identity = {str(q): str(q) for q in (2, 3, 4, 5, 7)}
     for extra, message in (
         ({"2": "2/0"}, "zero denominator in '2/0'"),
+        ({"2": "2ii"}, "cannot parse value '2ii'"),
+        ({"3": "3 4"}, "cannot parse value '3 4'"),
         ({"6": "99"}, "key 6 of the values is not a prime power"),
         ({"-2": "1"}, "key -2 of the values is not a prime power"),
     ):

@@ -40,12 +40,16 @@ def test_parse_and_format_roundtrip():
         assert parse_value(str(v)) == v
     assert parse_value("1+2i") == gauss(1, 2)
     assert parse_value(" -5/2 ") == gauss(Fraction(-5, 2))
+    assert parse_value("1 + 2i") == gauss(1, 2)
+    assert parse_value("-i") == gauss(0, -1)
     assert str(gauss(0, 2)) == "2i"
     assert str(gauss(2, -3)) == "2-3i"
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "x", "1+", "../2"):
+    # a term without its sign, a repeated part, whitespace inside a number
+    malformed = ("2ii", "i2", "3 4", "1+2+3i", "1+2-3", "- 5", "1/ 2")
+    for text in ("", "x", "1+", "../2") + malformed:
         with pytest.raises(ValueError):
             parse_value(text)
     for text in ("2/0", "0/0", "1+2/0i"):

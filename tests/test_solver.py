@@ -140,6 +140,57 @@ def test_quadratic_roots_match_sympy():
     assert rational_roots > 100
 
 
+def test_resultants_match_sympy(monkeypatch):
+    # every elimination the stall round tries in these runs; between them
+    # they reach each branch of _resultant
+    sympy = pytest.importorskip("sympy")
+    tried = []
+
+    def recording(p, q, x):
+        res = resultant(p, q, x)
+        tried.append((p.poly, q.poly, x, res))
+        return res
+
+    resultant = solver_module._resultant
+    monkeypatch.setattr(solver_module, "_resultant", recording)
+    replay_script(8)
+    solve(2, 150)
+    solve(13, 100)
+    y = sympy.Symbol("y")
+
+    def to_sympy(poly, x=None, scale=1):
+        # x^d becomes y^(d / scale): y stands for x^2 when scale is 2
+        return sum(
+            c * sympy.Mul(*(
+                y ** (d // scale) if v == x else sympy.Symbol(f"f{v}") ** d
+                for v, d in mono
+            ))
+            for mono, c in poly.items()
+        )
+
+    def primitive(expr):
+        expr = sympy.expand(expr)
+        gens = sorted(expr.free_symbols, key=str) or [y]
+        part = sympy.Poly(expr, *gens).primitive()[1]
+        return (-part if part.LC() < 0 else part).as_expr()
+
+    branches = set()
+    for p, q, x, res in tried:
+        powers = [d for poly in (p, q) for mono in poly for v, d in mono if v == x]
+        scale = 2 if all(d % 2 == 0 for d in powers) else 1
+        degrees = tuple(sorted(
+            max((d for mono in poly for v, d in mono if v == x), default=0) // scale
+            for poly in (p, q)
+        ))
+        if res is None:
+            assert not set(degrees) <= {1, 2}, (p, q, x)
+            continue
+        branches.add((scale, degrees))
+        expected = sympy.resultant(to_sympy(p, x, scale), to_sympy(q, x, scale), y)
+        assert sympy.expand(primitive(to_sympy(res)) - primitive(expected)) == 0
+    assert branches == {(2, (1, 1)), (1, (1, 1)), (1, (1, 2)), (1, (2, 2))}
+
+
 def test_non_real_root_prunes_nothing():
     # f(2)^2 + 4 = 0: the square is known, the roots +-2i are not rational
     state = SolverState(5, 10)

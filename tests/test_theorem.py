@@ -41,37 +41,35 @@ def test_parametric_odd_values():
     lhs, rhs = ODD_STEP.terms(5)
     assert lhs == (11, 3) and rhs == (9, 7)
     assert 11**2 + 3**2 == 9**2 + 7**2 == 130
-    assert check_parametric(ODD_STEP, 100).passed
+    assert check_parametric(ODD_STEP).passed
 
 
 def test_parametric_even_values():
     lhs, rhs = EVEN_STEP.terms(6)
     assert lhs == (12, 1) and rhs == (8, 9)
     assert 12**2 + 1**2 == 8**2 + 9**2 == 145
-    assert check_parametric(EVEN_STEP, 100).passed
+    assert check_parametric(EVEN_STEP).passed
 
 
 def test_parametric_below_threshold_rejected():
     # at l = 5 the even family produces a zero term
     lhs, rhs = EVEN_STEP.terms(5)
     assert 0 in lhs + rhs
-    result = check_parametric(TOO_EARLY, 10)
+    result = check_parametric(TOO_EARLY)
     assert not result.passed
-    assert result.detail.endswith("; first failure (5, 'non-positive term')")
+    assert result.detail == "lhs (5, -10, 25) vs rhs (5, -10, 25); form (1, -5) is below 1 at l=5"
 
 
 def _parametric_by_loop(identity, l_max):
-    """(passed, detail) from checking every l from the threshold to l_max."""
-    lhs_poly = identity.side_poly(identity.lhs)
-    rhs_poly = identity.side_poly(identity.rhs)
-    detail = f"lhs {lhs_poly} vs rhs {rhs_poly}"
+    """The first failure (l, reason) from checking every l from the
+    threshold to l_max, or None."""
     for l in range(identity.threshold, l_max + 1):
         lhs, rhs = identity.terms(l)
         if sum(x * x for x in lhs) != sum(x * x for x in rhs):
-            return False, f"{detail}; first failure {(l, 'sum mismatch')}"
+            return l, "sum mismatch"
         if any(x < 1 for x in lhs + rhs):
-            return False, f"{detail}; first failure {(l, 'non-positive term')}"
-    return lhs_poly == rhs_poly, detail
+            return l, "non-positive term"
+    return None
 
 
 @pytest.mark.parametrize(
@@ -79,26 +77,36 @@ def _parametric_by_loop(identity, l_max):
 )
 @pytest.mark.parametrize("l_max", [3, 10, 500, 1000])
 def test_parametric_proof_agrees_with_the_loop(identity, l_max):
-    result = check_parametric(identity, l_max)
-    assert (result.passed, result.detail) == _parametric_by_loop(identity, l_max)
+    # the loop to l_max finds the failure the proof names once l_max reaches
+    # it; 1000 reaches every one here, as unequal sides agree at no more
+    # than two l and the falling form's term 600 - l is 0 at l = 600
+    result = check_parametric(identity)
+    failure = _parametric_by_loop(identity, l_max)
+    if result.passed:
+        assert failure is None
+    elif result.detail.endswith("; the sides differ"):
+        assert failure[1] == "sum mismatch"
+    else:
+        l = int(result.detail.rpartition("l=")[2])
+        assert failure == ((l, "non-positive term") if l <= l_max else None)
 
 
 def test_parametric_proof_checks_no_value_of_l(monkeypatch):
     def refuse(self, l):
-        raise AssertionError("a proved family is not checked l by l")
+        raise AssertionError("check_parametric tries no value of l")
 
     monkeypatch.setattr(ParametricIdentity, "terms", refuse)
-    for identity in (ODD_STEP, EVEN_STEP):
-        assert check_parametric(identity, 10**12).passed
+    for identity in (ODD_STEP, EVEN_STEP, TOO_EARLY, FALLING, UNEQUAL):
+        assert check_parametric(identity).passed == (identity in (ODD_STEP, EVEN_STEP))
 
 
 def test_parametric_falling_form_fails_once_it_reaches_zero():
-    # the proof needs every form non-decreasing, so a falling one is checked
-    # l by l: its term 600 - l is positive up to l_max = 500, zero at 600
-    assert check_parametric(FALLING, 500).passed
-    result = check_parametric(FALLING, 1000)
+    # its term 600 - l is positive up to l = 599, so a loop bounded below
+    # 600 finds nothing; the proof fails it and names the form
+    assert _parametric_by_loop(FALLING, 500) is None
+    result = check_parametric(FALLING)
     assert not result.passed
-    assert result.detail.endswith("; first failure (600, 'non-positive term')")
+    assert result.detail.endswith("; form (-1, 600) is below 1 at l=600")
 
 
 def test_parametric_polynomial_expansion():
@@ -396,4 +404,4 @@ def test_construction_and_parametric_exact_for_k_8_to_16():
         assert len(parts) == k
         assert sum(x * x for x in parts) == k * k + k - 1, k
     for identity in (ODD_STEP, EVEN_STEP):
-        assert check_parametric(identity, 1000).passed
+        assert check_parametric(identity).passed

@@ -8,7 +8,7 @@ claimed intermediate results.  A mismatch raises ReplayMismatchError.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .arith import represent_in_semigroup
@@ -414,47 +414,22 @@ SMALL_IDENTITY_TABLE = (
 
 SMALL_PRODUCTS = ((6, 2, 3), (10, 2, 5))
 
-LinearForm = Tuple[int, int]  # (a, b) meaning a*l + b
+# small-identities settles f(2..SMALL_MAX) up to sign, and positivity fixes
+# those signs with witnesses whose parts are all at most SMALL_MAX
+SMALL_MAX = 10
 
 
-class ParametricIdentity(NamedTuple):
-    """Two-term square identity in a parameter l, valid from a threshold on."""
-
-    name: str
-    lhs: Tuple[LinearForm, LinearForm]
-    rhs: Tuple[LinearForm, LinearForm]
-    threshold: int
-
-    def side_poly(self, side: Tuple[LinearForm, LinearForm]) -> Tuple[int, int, int]:
-        """Coefficients (c2, c1, c0) of the side's square sum in l."""
-        c2 = c1 = c0 = 0
-        for a, b in side:
-            c2 += a * a
-            c1 += 2 * a * b
-            c0 += b * b
-        return (c2, c1, c0)
-
-    def terms(self, l: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        lhs = tuple(a * l + b for a, b in self.lhs)
-        rhs = tuple(a * l + b for a, b in self.rhs)
-        return lhs, rhs
-
-
-ODD_STEP = ParametricIdentity("odd-step", ((2, 1), (1, -2)), ((2, -1), (1, 2)), 5)
-EVEN_STEP = ParametricIdentity("even-step", ((2, 0), (1, -5)), ((2, -4), (1, 3)), 6)
-
-
-def _sign_witness(
-    k: int, q: int, max_part: int
-) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """Smallest m > k with gcd(m, q) = 1 and m, q*m both k-representable
-    with small parts, and the representations of m and q*m found."""
+def _sign_witness(k: int, q: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """Smallest m > k with gcd(m, q) = 1 and m, q*m both sums of k squares
+    of parts at most SMALL_MAX, and the representations of m and q*m found.
+    Each part's square is then known, so f(m) = m, f(q*m) = q*m and
+    f(q*m) = f(q) f(m) give f(q) = q."""
     m = k + 1
     while True:
         if gcd(m, q) == 1 and not is_dubouis_exception(m, k):
-            low = next(iter_representations(m, k, max_part), None)
+            low = next(iter_representations(m, k, SMALL_MAX), None)
             high = None if low is None else next(
-                iter_representations(q * m, k, max_part), None
+                iter_representations(q * m, k, SMALL_MAX), None
             )
             if high is not None:
                 return m, low, high
@@ -474,6 +449,12 @@ def padded_pairs(table: Sequence[tuple], k: int) -> List[tuple]:
 
 
 def _stages_general(k: int) -> List[ReplayStage]:
+    """The script of case k >= 8: f(k) = k, the k(k-1) growth step, the
+    40/32 double representations, the construction of k^2 + k - 1, and the
+    small identity table settle f on 1..SMALL_MAX up to sign; positivity
+    then fixes each sign from one witness pair with parts at most
+    SMALL_MAX.  Past SMALL_MAX the theorem's induction certificate takes
+    over."""
     stages = [
         ReplayStage(
             "seed",
@@ -523,28 +504,15 @@ def _stages_general(k: int) -> List[ReplayStage]:
             "small-identities",
             tuple(c for c in small if c not in earlier),
             tuple(
-                Expectation(n, _pm(n), "within") for n in range(2, 11)
+                Expectation(n, _pm(n), "within") for n in range(2, SMALL_MAX + 1)
             ),
-        )
-    )
-    grown = max(25, isqrt(10 * (k + 24)) + 2)
-    parametric = []
-    for n in range(11, grown + 1):
-        lhs, rhs = (ODD_STEP if n % 2 else EVEN_STEP).terms(n // 2)
-        parametric.append(_padded_sos(lhs, k))
-        parametric.append(_padded_sos(rhs, k))
-    stages.append(
-        ReplayStage(
-            "parametric-growth",
-            tuple(parametric),
-            tuple(Expectation(n, _pm(n), "within") for n in range(11, grown + 1)),
         )
     )
     sign_constraints: List[Constraint] = []
     sign_expects = []
     seen: set = set()
-    for q in range(2, 11):
-        m, low, high = _sign_witness(k, q, grown)
+    for q in range(2, SMALL_MAX + 1):
+        m, low, high = _sign_witness(k, q)
         for t, parts in ((m, low), (q * m, high)):
             c = SumOfSquares(t, parts)
             if c not in seen:

@@ -22,10 +22,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .constraints import MAX_SOLVER_BOUND, SumOfSquares
 from .replay import (
     DOUBLE_REPRESENTATIONS,
-    EVEN_STEP,
-    ODD_STEP,
     SMALL_IDENTITY_TABLE,
-    ParametricIdentity,
     ReplayMismatchError,
     padded_pairs,
     replay_script,
@@ -64,6 +61,36 @@ class CaseReport(NamedTuple):
             "checks": [c.to_dict() for c in self.checks],
             "all_passed": self.all_passed,
         }
+
+
+LinearForm = Tuple[int, int]  # (a, b) meaning a*l + b
+
+
+class ParametricIdentity(NamedTuple):
+    """Two-term square identity in a parameter l, valid from a threshold on."""
+
+    name: str
+    lhs: Tuple[LinearForm, LinearForm]
+    rhs: Tuple[LinearForm, LinearForm]
+    threshold: int
+
+    def side_poly(self, side: Tuple[LinearForm, LinearForm]) -> Tuple[int, int, int]:
+        """Coefficients (c2, c1, c0) of the side's square sum in l."""
+        c2 = c1 = c0 = 0
+        for a, b in side:
+            c2 += a * a
+            c1 += 2 * a * b
+            c0 += b * b
+        return (c2, c1, c0)
+
+    def terms(self, l: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        lhs = tuple(a * l + b for a, b in self.lhs)
+        rhs = tuple(a * l + b for a, b in self.rhs)
+        return lhs, rhs
+
+
+ODD_STEP = ParametricIdentity("odd-step", ((2, 1), (1, -2)), ((2, -1), (1, 2)), 5)
+EVEN_STEP = ParametricIdentity("even-step", ((2, 0), (1, -5)), ((2, -4), (1, 3)), 6)
 
 
 def check_parametric(identity: ParametricIdentity) -> CheckResult:
@@ -167,9 +194,12 @@ def _pair_check(
 def verify_case_general(k: int, bound: int) -> CaseReport:
     """Checks for k >= 8: padded double representations, the small
     identity table, the parametric families, then the shared proof route.
-    The sign pairs the 40/32 system allows are solved by the replay's joint
-    check alone, and the k-part representation of k^2 + k - 1 is checked
-    by its SumOfSquares in the replay."""
+    The replay settles f on 1..10, its sign witnesses using parts at most
+    10, and the induction certificate takes over from n = 11, where the
+    paper extends f(n)^2 = n^2 by the parametric families.  The sign pairs
+    the 40/32 system allows are solved by the replay's joint check alone,
+    and the k-part representation of k^2 + k - 1 is checked by its
+    SumOfSquares in the replay."""
     if k < 8:
         raise UnsupportedKError("general case requires k >= 8")
     checks: List[CheckResult] = []

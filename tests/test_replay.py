@@ -112,13 +112,43 @@ def test_replay_k8_pair_block_and_construction():
     assert got[7]["got"] == "{7}"
 
 
-@pytest.mark.parametrize("k", [9, 10, 12, 13])
+GENERAL_STAGES = [
+    "seed",
+    "growth-k(k-1)",
+    "double-representations-40-32",
+    "construction-k^2+k-1",
+    "small-identities",
+    "positivity",
+]
+
+
+@pytest.mark.parametrize("k", [8, 9, 10, 12, 13, 40, 97, 111, 500])
 def test_replay_generic_k(k):
+    # the script settles f on 1..10 and nothing past it: each sign witness
+    # sums squares of parts whose squares small-identities already fixed
     result = replay_script(k)
-    assert final(result, 2) == only(2)
-    assert final(result, 3) == only(3)
+    assert stage_names(result) == GENERAL_STAGES
+    positivity = replay_module._stages(k)[-1]
+    sums = [c for c in positivity.constraints if isinstance(c, SumOfSquares)]
+    assert sums and all(max(c.parts) <= 10 for c in sums), k
+    for n in range(1, 11):
+        assert final(result, n) == only(n), (k, n)
     assert final(result, k - 1) == only(k - 1)
-    assert final(result, 10) == only(10)
+
+
+def test_positivity_needs_small_identities(monkeypatch):
+    # without the small identity table some sign witness has a part whose
+    # square is unknown, so f(4) keeps both signs (k = 8 happens to pass)
+    general = replay_module._stages_general
+    monkeypatch.setattr(
+        replay_module,
+        "_stages_general",
+        lambda k: [s for s in general(k) if s.name != "small-identities"],
+    )
+    with pytest.raises(ReplayMismatchError) as err:
+        replay_script(13)
+    assert (err.value.stage, err.value.variable) == ("positivity", 4)
+    assert (err.value.expected, err.value.got) == ("{4}", "{-4,4}")
 
 
 def test_replay_end_states_identity():

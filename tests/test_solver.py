@@ -269,19 +269,21 @@ TRACE_DIGESTS = {
     ("replay", 5): "cf5473217dd6ee5f84f1f3e95aef0d13dc08ed795031d780c335910dc791c988",
     ("replay", 6): "984a12606ab4cc8492a80e6ef81d31a14be4a5d895d4f62eecfa24f80258e178",
     ("replay", 7): "8a5601e3d1fdc8aa04567166fc7f03614c765136a92e8fe0fd1cabf5c1a8f9a9",
-    ("replay", 8): "6ba8cee2a68273f6149e402cdf38adb91ebde4971143f4c1df301e73e189a4e5",
-    ("replay", 13): "60dddccb7d295b3da2186bdafbf0b7db25e10e8aa0f0f3b5cfd602052edee9da",
+    ("replay", 8): "e03265926cf59c01555812a65675dbd0db79de39d743d1c1cf74cd26fd62c59f",
+    ("replay", 13): "ee9244c43a97d484d525dafeb0335a5c6474db3b5b2dfb689b0f232c290a32c0",
     ("solve", 4): "7900fef3a8133ca7f87d6c00d6204bb7f18282c1777c8dcf44ab7537e9109c70",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
     ("sweep", 5): "e6f3db3686a44a2a41915b167ac4cbfcbc66544b0fdd751802d8ab19a0a1913b",
-    ("sweep", 13): "135a8818cd08c8ecfe9a48774ddaf92b50b28ffceb769358a6b2942dccd13601",
+    ("sweep", 13): "c6fb7889d5d3f6c6aa65a47c7b2526f5a9f155abad385e1ef8afd95d35b30811",
     ("theorem", 4): "3845d269cbcd2035ec17799fc36afc3f57b7d6f0b7f8b2ef4917a3817f8db35e",
     ("theorem", 5): "e56865a31fc290d6328503747a1d99991419a22c674ed017312003e0244068a3",
     ("theorem", 6): "4c660b3cdff3795c73f6e18e0f6a0dfb4e44e79e6a341ee82d6fa81af4050c6e",
     ("theorem", 7): "1d1fb2278247af0b5fd729443e76b7c84afaf23d9a54989986b65930e3fbaab7",
     ("theorem", 8): "8f715ed3322b1acf2ab80ffc9a042cba185e2f9a7d5dd27ac07c727245a9380c",
     ("theorem", 13): "57572ea50023e8e7b9ec686f48c59f5343b62060cd6997ff557e5b7c8e873061",
+    ("theorem", 97): "bb67ada57342c6e34c100f757850cb623c59f88d865c9c98233e5004dede2523",
+    ("theorem", 500): "a35ef35797e21b6f3eb357fca9e752fb68b5c465c74205e1c03473f5288a4812",
 }
 
 

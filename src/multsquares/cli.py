@@ -15,6 +15,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from . import arith, squares, theorem
+from .constraints import REP_CAP
 from .gaussian import parse_value
 from .replay import ReplayMismatchError, replay_script
 from .solver import (
@@ -209,7 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_replay)
 
-    p = sub.add_parser("check", help="evaluate a candidate f against all constraints")
+    p = sub.add_parser(
+        "check",
+        help="evaluate a candidate f against the generated constraints: per "
+             f"target up to --bound, at most {REP_CAP} sums of squares and "
+             "every coprime split",
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--values", required=True,

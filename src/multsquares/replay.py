@@ -156,50 +156,6 @@ def _stages_k4() -> List[ReplayStage]:
             (_sos(18, 3, 2, 2, 1), Multiplicative(18, 2, 9)),
             (Expectation(9, _vset(9)),),
         ),
-        ReplayStage(
-            "remaining-odd-exceptions",
-            (
-                _sos(22, 4, 2, 1, 1),
-                Multiplicative(22, 2, 11),
-                _sos(34, 5, 2, 2, 1),
-                Multiplicative(34, 2, 17),
-                _sos(58, 7, 2, 2, 1),
-                Multiplicative(58, 2, 29),
-                _sos(82, 7, 4, 4, 1),
-                Multiplicative(82, 2, 41),
-            ),
-            (
-                Expectation(11, _vset(11)),
-                Expectation(17, _vset(17)),
-                Expectation(29, _vset(29)),
-                Expectation(41, _vset(41)),
-            ),
-        ),
-        ReplayStage(
-            "power-families",
-            (
-                _sos(40, 4, 4, 2, 2),
-                Multiplicative(40, 5, 8),
-                _sos(160, 8, 8, 4, 4),
-                Multiplicative(160, 5, 32),
-                Multiplicative(6, 2, 3),
-                Multiplicative(24, 3, 8),
-                Multiplicative(96, 3, 32),
-                Multiplicative(14, 2, 7),
-                Multiplicative(56, 7, 8),
-                Multiplicative(224, 7, 32),
-            ),
-            (
-                Expectation(8, _vset(8)),
-                Expectation(32, _vset(32)),
-                Expectation(6, _vset(6)),
-                Expectation(24, _vset(24)),
-                Expectation(96, _vset(96)),
-                Expectation(14, _vset(14)),
-                Expectation(56, _vset(56)),
-                Expectation(224, _vset(224)),
-            ),
-        ),
     ]
 
 
@@ -403,20 +359,9 @@ EXPECTED_SIGN_PAIRS = frozenset(
     for sb in (1, -1)
 )
 
-# (core target, lhs core, rhs core): equal square sums, still equal padded
-SMALL_IDENTITY_TABLE = (
-    (28, (4, 2, 2, 2), (3, 3, 3, 1)),
-    (27, (5, 1, 1), (3, 3, 3)),
-    (50, (7, 1), (5, 5)),
-    (65, (8, 1), (7, 4)),
-    (85, (9, 2), (7, 6)),
-)
-
-SMALL_PRODUCTS = ((6, 2, 3), (10, 2, 5))
-
-# small-identities settles f(2..SMALL_MAX) up to sign, and positivity fixes
-# those signs with witnesses whose parts are all at most SMALL_MAX
-SMALL_MAX = 10
+# construction-k^2+k-1 settles f(2..SMALL_MAX) up to sign, and positivity
+# fixes those signs with witnesses whose parts are all at most SMALL_MAX
+SMALL_MAX = 3
 
 
 def _sign_witness(k: int, q: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
@@ -441,21 +386,26 @@ def _padded_sos(core: Sequence[int], k: int) -> SumOfSquares:
     return SumOfSquares(sum(x * x for x in parts), parts)
 
 
-def padded_pairs(table: Sequence[tuple], k: int) -> List[tuple]:
-    """(name, first, second) per row (name, first core, second core) of
-    table, each core padded to k parts; a row's targets are equal exactly
-    when its cores' square sums are."""
-    return [(name, _padded_sos(a, k), _padded_sos(b, k)) for name, a, b in table]
-
-
 def _stages_general(k: int) -> List[ReplayStage]:
     """The script of case k >= 8: f(k) = k, the k(k-1) growth step, the
-    40/32 double representations, the construction of k^2 + k - 1, and the
-    small identity table settle f on 1..SMALL_MAX up to sign; positivity
-    then fixes each sign from one witness pair with parts at most
-    SMALL_MAX.  Past SMALL_MAX the theorem's induction certificate takes
-    over."""
-    stages = [
+    40/32 double representations and the construction of k^2 + k - 1
+    settle f(k - 1), and f(2) and f(3) up to sign; positivity then fixes
+    each of those two signs from one witness pair with parts at most
+    SMALL_MAX.
+    From n = 4 on the theorem's induction certificate takes over."""
+    sign_constraints: List[Constraint] = []
+    sign_expects = []
+    seen: set = set()
+    for q in range(2, SMALL_MAX + 1):
+        m, low, high = _sign_witness(k, q)
+        for t, parts in ((m, low), (q * m, high)):
+            c = SumOfSquares(t, parts)
+            if c not in seen:
+                seen.add(c)
+                sign_constraints.append(c)
+        sign_constraints.append(Multiplicative(q * m, min(q, m), max(q, m)))
+        sign_expects.append(Expectation(q, _vset(q)))
+    return [
         ReplayStage(
             "seed",
             (_padded_sos((), k),),
@@ -469,9 +419,9 @@ def _stages_general(k: int) -> List[ReplayStage]:
         ReplayStage(
             "double-representations-40-32",
             tuple(
-                c
-                for _, first, second in padded_pairs(DOUBLE_REPRESENTATIONS, k)
-                for c in (first, second)
+                _padded_sos(core, k)
+                for _, first, second in DOUBLE_REPRESENTATIONS
+                for core in (first, second)
             )
             + (Multiplicative(6, 2, 3),),
             (
@@ -492,38 +442,8 @@ def _stages_general(k: int) -> List[ReplayStage]:
                 Expectation(k - 1, _vset(k - 1)),
             ),
         ),
+        ReplayStage("positivity", tuple(sign_constraints), tuple(sign_expects)),
     ]
-    earlier = {c for stage in stages for c in stage.constraints}
-    small = [
-        c
-        for _, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k)
-        for c in (lhs, rhs)
-    ] + [Multiplicative(n, m, l) for n, m, l in SMALL_PRODUCTS]
-    stages.append(
-        ReplayStage(
-            "small-identities",
-            tuple(c for c in small if c not in earlier),
-            tuple(
-                Expectation(n, _pm(n), "within") for n in range(2, SMALL_MAX + 1)
-            ),
-        )
-    )
-    sign_constraints: List[Constraint] = []
-    sign_expects = []
-    seen: set = set()
-    for q in range(2, SMALL_MAX + 1):
-        m, low, high = _sign_witness(k, q)
-        for t, parts in ((m, low), (q * m, high)):
-            c = SumOfSquares(t, parts)
-            if c not in seen:
-                seen.add(c)
-                sign_constraints.append(c)
-        sign_constraints.append(Multiplicative(q * m, min(q, m), max(q, m)))
-        sign_expects.append(Expectation(q, _vset(q)))
-    stages.append(
-        ReplayStage("positivity", tuple(sign_constraints), tuple(sign_expects))
-    )
-    return stages
 
 
 def double_representations_hold(f2: Rational, f3: Rational) -> bool:

@@ -1,34 +1,27 @@
 """End-to-end verification that the functional equation forces the identity.
 
-For each k >= 4 the checker runs the case's own checks, each of which can
-fail (the k = 4 doubling witnesses; for k >= 8 the padded double
-representations, the small identity table and the parametric families),
-and replays the scripted chain.  The sums of squares the replay feeds the
-engine need no check here: each SumOfSquares checks its sum when it is
-built, and the engine refuses one whose part count is not k.  The replay's
-pinned set S, the arguments it shows have f(s) = s, is the trust base of
-the rest: an induction certificate extends S to every n up to a bound, one
-witness per n, by the lemma checked in multsquares.certificate (m in S
-coprime to n and n*m a sum of k squares of members of S give f(n) = n).
-A witness search finds each step and certificate.check_step confirms it in
-integer arithmetic.  No solver runs after the replay, whose fixed script
-needs no propagation budget.
+For each k >= 4 the checker replays the case's scripted chain.  The sums
+of squares the replay feeds the engine need no check here: each
+SumOfSquares checks its sum when it is built, and the engine refuses one
+whose part count is not k.  The replay's pinned set S, the arguments it
+shows have f(s) = s, is the trust base of the rest: an induction
+certificate extends S to every n up to a bound, one witness per n, by the
+lemma checked in multsquares.certificate (m in S coprime to n and n*m a
+sum of k squares of members of S give f(n) = n).  A witness search finds
+each step and certificate.check_step confirms it in integer arithmetic.
+No solver runs after the replay, whose fixed script needs no propagation
+budget.  Every case reports the same three checks: replay, induction and
+pinned-to-<bound>.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from .constraints import MAX_SOLVER_BOUND, SumOfSquares
-from .replay import (
-    DOUBLE_REPRESENTATIONS,
-    SMALL_IDENTITY_TABLE,
-    ReplayMismatchError,
-    padded_pairs,
-    replay_script,
-)
+from .constraints import MAX_SOLVER_BOUND
+from .replay import ReplayMismatchError, replay_script
 from .solver import certify_induction, solve
-from .squares import MAX_K, UnsupportedKError, iter_representations
+from .squares import MAX_K, UnsupportedKError
 
 DEFAULT_BOUND = 300
 
@@ -67,7 +60,11 @@ LinearForm = Tuple[int, int]  # (a, b) meaning a*l + b
 
 
 class ParametricIdentity(NamedTuple):
-    """Two-term square identity in a parameter l, valid from a threshold on."""
+    """Two-term square identity in a parameter l, valid from a threshold on.
+
+    The paper extends f(n)^2 = n^2 past n = 10 by ODD_STEP and EVEN_STEP.
+    No case's checks use them: the induction certificate proves f(n) = n
+    from n = 4 on by itself."""
 
     name: str
     lhs: Tuple[LinearForm, LinearForm]
@@ -118,10 +115,8 @@ def check_parametric(identity: ParametricIdentity) -> CheckResult:
     return CheckResult(f"parametric-{identity.name}", passed, detail)
 
 
-def _proof_route(
-    case: str, k: int, checks: List[CheckResult], bound: int
-) -> CaseReport:
-    """The tail every case k >= 4 shares after its own identity checks.
+def _proof_route(case: str, k: int, bound: int) -> CaseReport:
+    """The checks every case k >= 4 reports.
 
     `replay` runs the scripted replay; its pinned set is the
     certificate's trust base.  `induction` extends that set to every n up
@@ -133,89 +128,51 @@ def _proof_route(
     try:
         replayed = replay_script(k)
     except ReplayMismatchError as exc:
-        checks.append(CheckResult("replay", False, str(exc)))
-    else:
-        pinned = set(replayed.state.pinned)
-        failure = certify_induction(k, pinned, bound)
-        missing = [n for n in range(1, bound + 1) if n not in pinned]
-        checks += [
-            CheckResult("replay", True, "all stage claims match"),
-            CheckResult(
-                "induction",
-                failure is None,
-                "" if failure is None else f"at n={failure[0]}: {failure[1]}",
-            ),
-            CheckResult(
-                f"pinned-to-{bound}",
-                not missing,
-                "" if not missing else f"unpinned: {missing[:10]}",
-            ),
-        ]
-    return CaseReport(case, k, tuple(checks), True)
-
-
-# the doubling step's witnesses are checked for m = 1..DOUBLING_MAX_M
-DOUBLING_MAX_M = 3
+        return CaseReport(case, k, (CheckResult("replay", False, str(exc)),), True)
+    pinned = set(replayed.state.pinned)
+    failure = certify_induction(k, pinned, bound)
+    missing = [n for n in range(1, bound + 1) if n not in pinned]
+    checks = (
+        CheckResult("replay", True, "all stage claims match"),
+        CheckResult(
+            "induction",
+            failure is None,
+            "" if failure is None else f"at n={failure[0]}: {failure[1]}",
+        ),
+        CheckResult(
+            f"pinned-to-{bound}",
+            not missing,
+            "" if not missing else f"unpinned: {missing[:10]}",
+        ),
+    )
+    return CaseReport(case, k, checks, True)
 
 
 def verify_case_k4(bound: int) -> CaseReport:
-    """Checks for k = 4: the 4^m doubling step witnesses, then the shared
-    proof route."""
-    bad = []
-    for m in range(1, DOUBLING_MAX_M + 1):
-        if next(iter_representations(10 * 4**m, 4, 2 * 4**m - 1), None) is None:
-            bad.append(m)
-    doubling = CheckResult(
-        "doubling-witnesses",
-        not bad,
-        f"m=1..{DOUBLING_MAX_M}; parts below 2*4^m"
-        + ("" if not bad else f"; failed at {bad}"),
-    )
-    return _proof_route("four-squares", 4, [doubling], bound)
+    """Checks for k = 4: the shared proof route, whose replay ends at
+    chain-18."""
+    return _proof_route("four-squares", 4, bound)
 
 
 def verify_case_k(k: int, bound: int) -> CaseReport:
-    """Checks for k in {5, 6, 7}: the shared proof route alone, whose
-    replay feeds the engine each sum of squares the case displays."""
+    """Checks for k in {5, 6, 7}: the shared proof route, whose replay
+    feeds the engine each sum of squares the case displays."""
     if k not in (5, 6, 7):
         raise UnsupportedKError("this case verifier handles k in {5, 6, 7}")
-    return _proof_route(f"{k}-squares", k, [], bound)
-
-
-def _pair_check(
-    name: str, first: SumOfSquares, second: SumOfSquares, what: str
-) -> CheckResult:
-    """Whether two padded sums of squares share their target."""
-    if first.target == second.target:
-        return CheckResult(name, True, f"{what} {first.target}")
-    return CheckResult(name, False, f"{what}s {first.target} and {second.target}")
+    return _proof_route(f"{k}-squares", k, bound)
 
 
 def verify_case_general(k: int, bound: int) -> CaseReport:
-    """Checks for k >= 8: padded double representations, the small
-    identity table, the parametric families, then the shared proof route.
-    The replay settles f on 1..10, its sign witnesses using parts at most
-    10, and the induction certificate takes over from n = 11, where the
-    paper extends f(n)^2 = n^2 by the parametric families.  The sign pairs
-    the 40/32 system allows are solved by the replay's joint check alone,
-    and the k-part representation of k^2 + k - 1 is checked by its
-    SumOfSquares in the replay."""
+    """Checks for k >= 8: the shared proof route.  The replay settles f(2),
+    f(3), f(k - 1) and f(k), its sign witnesses using parts at most 3, and
+    the induction certificate takes over from n = 4, where the paper goes
+    on with the small identity table and the parametric families.  The
+    sign pairs the 40/32 system allows are solved by the replay's joint
+    check alone, and the k-part representation of k^2 + k - 1 is checked
+    by its SumOfSquares in the replay."""
     if k < 8:
         raise UnsupportedKError("general case requires k >= 8")
-    checks: List[CheckResult] = []
-
-    # the 40 and 32 double representations, padded to k parts
-    for name, first, second in padded_pairs(DOUBLE_REPRESENTATIONS, k):
-        checks.append(_pair_check(name, first, second, "target"))
-
-    # the small identity table pads to equal-target pairs
-    for base, lhs, rhs in padded_pairs(SMALL_IDENTITY_TABLE, k):
-        checks.append(_pair_check(f"identity-{base}", lhs, rhs, "padded target"))
-
-    # the parametric identities
-    checks += [check_parametric(identity) for identity in (ODD_STEP, EVEN_STEP)]
-
-    return _proof_route("general", k, checks, bound)
+    return _proof_route("general", k, bound)
 
 
 def theorem_check(k: int, bound: int = DEFAULT_BOUND) -> CaseReport:

@@ -13,7 +13,7 @@ import multsquares.constraints as constraints_module
 import multsquares.replay as replay_module
 import multsquares.squares as squares_module
 import multsquares.theorem as theorem_module
-from multsquares.cli import main
+from multsquares.cli import build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -371,6 +371,15 @@ def test_text_and_json_agree(capsys):
     assert code_j == code_t == 0
     assert parse(out_j)["status"] == "ok"
     assert "status: ok" in out_t
+
+
+def test_check_help_names_the_representation_cap():
+    # check evaluates the generated corpus, not every representation
+    text = " ".join(build_parser().format_help().split())
+    assert (
+        f"at most {constraints_module.REP_CAP} sums of squares and every coprime split"
+        in text
+    )
 
 
 def test_usage_error_exits_2():

@@ -15,7 +15,8 @@ from multsquares.replay import (
     replay_script,
 )
 from multsquares.solver import SolverState
-from multsquares.constraints import SumOfSquares
+from multsquares.constraints import Multiplicative, SumOfSquares
+from multsquares.theorem import theorem_check
 
 
 def stage_names(result):
@@ -54,7 +55,6 @@ def test_replay_k4_intermediates():
     assert got[2]["got"] == "{2}"
     got = claims_of(result, "chain-18")
     assert got[9]["got"] == "{9}"
-    assert final(result, 41) == only(41)
 
 
 def test_replay_k5_intermediates():
@@ -117,49 +117,86 @@ GENERAL_STAGES = [
     "growth-k(k-1)",
     "double-representations-40-32",
     "construction-k^2+k-1",
-    "small-identities",
     "positivity",
 ]
 
 
 @pytest.mark.parametrize("k", [8, 9, 10, 12, 13, 40, 97, 111, 500])
 def test_replay_generic_k(k):
-    # the script settles f on 1..10 and nothing past it: each sign witness
-    # sums squares of parts whose squares small-identities already fixed
+    # the script settles f(2), f(3), f(k - 1) and f(k), and below k - 1
+    # nothing past 3 but f(6) = f(2) f(3): each sign witness sums squares of
+    # parts whose squares the construction already fixed
     result = replay_script(k)
     assert stage_names(result) == GENERAL_STAGES
     positivity = replay_module._stages(k)[-1]
     sums = [c for c in positivity.constraints if isinstance(c, SumOfSquares)]
-    assert sums and all(max(c.parts) <= 10 for c in sums), k
-    for n in range(1, 11):
+    assert sums and all(max(c.parts) <= 3 for c in sums), k
+    for n in (1, 2, 3, k - 1, k):
         assert final(result, n) == only(n), (k, n)
-    assert final(result, k - 1) == only(k - 1)
-
-
-def test_positivity_needs_small_identities(monkeypatch):
-    # without the small identity table some sign witness has a part whose
-    # square is unknown, so f(4) keeps both signs (k = 8 happens to pass)
-    general = replay_module._stages_general
-    monkeypatch.setattr(
-        replay_module,
-        "_stages_general",
-        lambda k: [s for s in general(k) if s.name != "small-identities"],
-    )
-    with pytest.raises(ReplayMismatchError) as err:
-        replay_script(13)
-    assert (err.value.stage, err.value.variable) == ("positivity", 4)
-    assert (err.value.expected, err.value.got) == ("{4}", "{-4,4}")
+    assert [n for n in sorted(result.state.pinned) if n < k - 1] == [1, 2, 3, 6], k
 
 
 def test_replay_end_states_identity():
-    # k = 4 has no induction sweep; its chain covers these specific values
+    # k = 4 has no induction sweep and ends at chain-18; the certificate
+    # pins every other n
     result = replay_script(4)
-    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 17, 24, 29, 32, 41, 56, 96, 224):
+    for n in (1, 2, 3, 4, 5, 7, 9, 10, 12, 18, 20, 28, 35):
         assert final(result, n) == only(n), (4, n)
     for k in (5, 6, 7):
         result = replay_script(k)
         for n in range(1, 21):
             assert final(result, n) == only(n), (k, n)
+
+
+# Stages whose claims no later stage and no certificate step needs, with
+# the reason each stays in its script.
+KEPT_WITHOUT_NEED = {
+    (4, "chain-18"): "acceptance criterion 3 reads its claim f(9) = 9",
+    (5, "induction"): "the benchmark's self-tests read 1..20 pinned from the k = 5 replay",
+    (6, "induction"): "kept with k = 5's until pin_by_induction goes",
+    (7, "induction"): "kept with k = 5's until pin_by_induction goes",
+}
+
+
+def _without_stage(monkeypatch, name):
+    stages = replay_module._stages
+    monkeypatch.setattr(
+        replay_module, "_stages", lambda k: [s for s in stages(k) if s.name != name]
+    )
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 13, 500])
+def test_every_stage_is_needed(monkeypatch, k):
+    # dropping any one stage fails theorem_check(k, 300), through a later
+    # stage's claim or the certificate, save the stages kept without need
+    for stage in [s.name for s in replay_module._stages(k)]:
+        with monkeypatch.context() as patch:
+            _without_stage(patch, stage)
+            passed = theorem_check(k, 300).all_passed
+        assert passed == ((k, stage) in KEPT_WITHOUT_NEED), (k, stage)
+
+
+@pytest.mark.parametrize("q, broken", [(2, 9), (3, 8)])
+def test_both_sign_witnesses_are_needed(monkeypatch, q, broken):
+    # without the product that ties f(q) to its witness, and without the
+    # claim f(q) = q, the certificate alone cannot pin q for this k
+    stages = replay_module._stages
+
+    def without_witness(k):
+        positivity = stages(k)[-1]
+        kept = positivity._replace(
+            constraints=tuple(
+                c
+                for c in positivity.constraints
+                if not (isinstance(c, Multiplicative) and q in (c.m, c.l))
+            ),
+            expects=tuple(e for e in positivity.expects if e.variable != q),
+        )
+        return stages(k)[:-1] + [kept]
+
+    monkeypatch.setattr(replay_module, "_stages", without_witness)
+    report = theorem_check(broken, 300)
+    assert [c.name for c in report.checks if not c.passed][0] == "induction"
 
 
 def _without_resultants(monkeypatch):

@@ -265,25 +265,25 @@ def test_identity_never_pruned():
 # square-view steps (replay 6, solve 4), and the theorem envelopes are
 # pinned across changes
 TRACE_DIGESTS = {
-    ("replay", 4): "7eb9eb4fd719a50ae6968ec9acc48e780bad42779834005eb62de6f1d39c3106",
+    ("replay", 4): "733bee35fafe66272e6fb9e0a2f461f89867a57f213404d2bb8230502c2874f6",
     ("replay", 5): "cf5473217dd6ee5f84f1f3e95aef0d13dc08ed795031d780c335910dc791c988",
     ("replay", 6): "984a12606ab4cc8492a80e6ef81d31a14be4a5d895d4f62eecfa24f80258e178",
     ("replay", 7): "8a5601e3d1fdc8aa04567166fc7f03614c765136a92e8fe0fd1cabf5c1a8f9a9",
-    ("replay", 8): "e03265926cf59c01555812a65675dbd0db79de39d743d1c1cf74cd26fd62c59f",
-    ("replay", 13): "ee9244c43a97d484d525dafeb0335a5c6474db3b5b2dfb689b0f232c290a32c0",
+    ("replay", 8): "1a7aa5df66827d2b637ff2d73c50b00d6c9399ace554341725f3bcea6314b068",
+    ("replay", 13): "8a7988eb8fb394af4e9c685811bc38b3770e7f3ddafd25ad02cf8004713a69d2",
     ("solve", 4): "7900fef3a8133ca7f87d6c00d6204bb7f18282c1777c8dcf44ab7537e9109c70",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
     ("sweep", 5): "e6f3db3686a44a2a41915b167ac4cbfcbc66544b0fdd751802d8ab19a0a1913b",
-    ("sweep", 13): "c6fb7889d5d3f6c6aa65a47c7b2526f5a9f155abad385e1ef8afd95d35b30811",
-    ("theorem", 4): "3845d269cbcd2035ec17799fc36afc3f57b7d6f0b7f8b2ef4917a3817f8db35e",
+    ("sweep", 13): "d8e83584013d83b71ee58b921dcaecb51b6f43fb3914e378fe2d0ba685cd1d76",
+    ("theorem", 4): "e268a8d96a119cf8bbfa6d2e0f2a5a23d39ccc2505f1ab0f7d1d205ac70e96c3",
     ("theorem", 5): "e56865a31fc290d6328503747a1d99991419a22c674ed017312003e0244068a3",
     ("theorem", 6): "4c660b3cdff3795c73f6e18e0f6a0dfb4e44e79e6a341ee82d6fa81af4050c6e",
     ("theorem", 7): "1d1fb2278247af0b5fd729443e76b7c84afaf23d9a54989986b65930e3fbaab7",
-    ("theorem", 8): "8f715ed3322b1acf2ab80ffc9a042cba185e2f9a7d5dd27ac07c727245a9380c",
-    ("theorem", 13): "57572ea50023e8e7b9ec686f48c59f5343b62060cd6997ff557e5b7c8e873061",
-    ("theorem", 97): "bb67ada57342c6e34c100f757850cb623c59f88d865c9c98233e5004dede2523",
-    ("theorem", 500): "a35ef35797e21b6f3eb357fca9e752fb68b5c465c74205e1c03473f5288a4812",
+    ("theorem", 8): "2da574faa1f8971599befd8be33daea918fd2fa237eb3b19ede3af70a15c000c",
+    ("theorem", 13): "26fa04e8f14dfdaf9aee7bae36f2c696feb7ac9cece444206f994ef67819bcfe",
+    ("theorem", 97): "b440e49d5ad1ca742e70d1beab586626aaf0c199ededb44d7d7c1cd93992ceb1",
+    ("theorem", 500): "36775c06d403e134a70ec44a5ed73165b9e154ccfbd94e9b9ab75855047b4f44",
 }
 
 

@@ -119,14 +119,7 @@ def test_parametric_polynomial_expansion():
 def test_verify_case_k4():
     report = verify_case_k4(100)
     assert report.all_passed, failed_checks(report)
-    assert [c.name for c in report.checks] == [
-        "doubling-witnesses",
-        "replay",
-        "induction",
-        "pinned-to-100",
-    ]
-    doubling = next(c for c in report.checks if c.name == "doubling-witnesses")
-    assert doubling.detail == "m=1..3; parts below 2*4^m"
+    assert [c.name for c in report.checks] == ["replay", "induction", "pinned-to-100"]
     # bound is the only parameter, so a call in the old (max_m, bound) form fails
     with pytest.raises(TypeError):
         verify_case_k4(3, 100)
@@ -152,17 +145,20 @@ def test_verify_case_general_k9_semigroup_choice():
     assert report.all_passed, failed_checks(report)
 
 
-def test_unequal_identity_row_fails_its_check(monkeypatch):
-    # 4,2,2,2 and 3,3,3,2 square-sum to 28 and 31: a wrong row is reported
-    # as a failed check naming both padded targets, never raised
-    monkeypatch.setattr(
-        theorem_module, "SMALL_IDENTITY_TABLE", ((28, (4, 2, 2, 2), (3, 3, 3, 2)),)
-    )
-    report = verify_case_general(8, 60)
-    row = next(c for c in report.checks if c.name == "identity-28")
-    assert (row.passed, row.detail) == (False, "padded targets 32 and 35")
-    assert report.all_passed is False
-    assert [c.name for c in failed_checks(report)] == ["identity-28"]
+def test_unequal_double_representation_fails_the_replay(monkeypatch):
+    # with one 2 swapped for a 3, the 32 row's cores square-sum to 27 and
+    # 37: its two sums no longer share a target, so they give no equation
+    # in f(2) and f(3), and the replay's 40/32 claims fail
+    first, _ = replay_module.DOUBLE_REPRESENTATIONS
+    swapped = ("double-32", (3, 3, 3), (3,) + (2,) * 7)
+    monkeypatch.setattr(replay_module, "DOUBLE_REPRESENTATIONS", (first, swapped))
+    for k in (8, 13):
+        report = theorem_check(k, 60)
+        assert report.all_passed is False, k
+        assert [c.name for c in report.checks] == ["replay"], k
+        assert report.checks[0].detail.startswith(
+            "stage 'double-representations-40-32': "
+        ), k
 
 
 def test_wrong_construction_is_caught_by_the_replay(monkeypatch):
@@ -287,9 +283,9 @@ def test_route_checks_every_witness(monkeypatch):
     report = theorem_check(111, 40)
     induction = next(c for c in report.checks if c.name == "induction")
     assert induction.detail == (
-        "at n=11: certificate rejected: squares sum to 111, not 11*111 = 1221"
+        "at n=4: certificate rejected: squares sum to 111, not 4*111 = 444"
     )
-    assert report.checks[-1].detail.startswith("unpinned: [11,")
+    assert report.checks[-1].detail.startswith("unpinned: [4,")
 
 
 def test_failure_detail_names_each_m_tried():
@@ -356,8 +352,8 @@ def test_large_k_proves():
             "induction",
             "pinned-to-40",
         ], k
-    pinned = set(replay_script(111).state.pinned)
-    assert 11 not in pinned
+    pinned = set(replay_script(111).state.pinned) | set(range(1, 11))
+    assert 11 not in pinned  # as the certificate reaches n = 11
     assert find_witness(11, 111, pinned)[0] == 111
 
 

@@ -22,10 +22,20 @@ import heapq
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .arith import factorize
-from .certificate import check_step
+from .certificate import check_product, check_step
 from .constraints import (
     Constraint,
     Monomial,
@@ -735,10 +745,12 @@ class SolverReport(NamedTuple):
 
 # -- the n(n-1) induction -----------------------------------------------------
 #
-# One step rests on the lemma checked in multsquares.certificate: m pinned,
-# gcd(n, m) = 1 and n*m a sum of k squares of pinned parts give f(n) = n.
-# find_witness searches for the witness and check_step confirms it, so no
-# pin of the induction rests on the search or on the engine's evaluator.
+# One step rests on a lemma checked in multsquares.certificate.  An n that
+# is no prime power is the product of two smaller coprime pinned factors,
+# which check_product confirms.  A prime power needs a witness: m pinned,
+# gcd(n, m) = 1 and n*m a sum of k squares of pinned parts give f(n) = n;
+# find_witness searches for it and check_step confirms it.  So no pin of
+# the induction rests on the search or on the engine's evaluator.
 
 # search nodes the coprime fallback may visit for one n, over every m it tries
 FALLBACK_NODES = 10_000
@@ -787,9 +799,11 @@ def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]
     """A witness (m, parts) for f(n) = n under the lemma of
     multsquares.certificate, parts non-increasing.
 
-    Requires all of 1..n-1 to be pinned, as the order of certify_induction
-    and induction_sweep ensures; without that the m = n - 1 witness may
-    name an unpinned argument, which check_step rejects.  First m = n - 1:
+    Requires all of 1..n-1 to be pinned.  The induction asks only for
+    prime powers, since any other n is the product of two coprime pinned
+    factors, and the order of certify_induction and induction_sweep pins
+    1..n-1 first; without that the m = n - 1 witness may name an unpinned
+    argument, which check_step rejects.  First m = n - 1:
     any k-square representation of n(n-1) with parts below n will do.  Then
     each other pinned m coprime to n with n*m >= k, smallest first: n*m - k
     written as at most k terms x^2 - 1 over pinned x >= 2, the other parts
@@ -833,19 +847,46 @@ def _checked_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, 
     return m, parts
 
 
+def _coprime_split(n: int) -> Tuple[int, int]:
+    """(a, n // a) for n >= 2, a the full power of n's smallest prime, found
+    by trial division that stops at that prime; a = n for a prime power."""
+    p = 2
+    while n % p:
+        p += 1 if p == 2 else 2
+        if p * p > n:
+            return n, 1
+    a = p
+    while n % (a * p) == 0:
+        a *= p
+    return a, n // a
+
+
+def _checked_step(
+    n: int, k: int, pinned: Set[int]
+) -> Tuple[int, Union[int, Tuple[int, ...]]]:
+    """One checked certificate step for n: the split (a, b) of n into its
+    smallest prime's power and the coprime rest, when n is no prime power
+    and check_product accepts it; otherwise _checked_witness's (m, parts).
+    Raises NoWitnessError as _checked_witness does."""
+    a, b = _coprime_split(n)
+    if a != n and check_product(n, a, b, pinned) is None:
+        return a, b
+    return _checked_witness(n, k, pinned)
+
+
 def certify_induction(
     k: int, pinned: Set[int], bound: int
 ) -> Optional[Tuple[int, str]]:
     """Certify f(n) = n for n = 2..bound in order, adding each n to pinned:
-    an n already pinned is skipped, any other needs a checked witness.
-    Returns the first n left uncertified with the reason, or None.  Since
-    it stops there, all of 1..n-1 are pinned whenever find_witness is
-    called for n."""
+    an n already pinned is skipped, an n with two coprime factors above 1
+    is their product, and a prime power needs a checked witness.  Returns
+    the first n left uncertified with the reason, or None.  Since it stops
+    there, all of 1..n-1 are pinned whenever find_witness is called for n."""
     for n in range(2, bound + 1):
         if n in pinned:
             continue
         try:
-            _checked_witness(n, k, pinned)
+            _checked_step(n, k, pinned)
         except NoWitnessError as exc:
             return n, str(exc)
         pinned.add(n)
@@ -856,13 +897,18 @@ def pin_by_induction(state: SolverState, n: int) -> SolverState:
     """Pin f(n) = n by one checked certificate step over state.pinned.
 
     The pin is a single trace step, rule "certified", whose label names
-    n*m and the parts.  It adds no equation and does not propagate: the
-    equations on f(n) wait in the queue for the next propagate.  Raises
-    NoWitnessError, with the state unchanged, when no witness is found or
-    check_step rejects the one found.  find_witness needs all of 1..n-1
+    the split n=a*b of a product step or n*m and the parts of a witness.
+    It adds no equation and does not propagate: the equations on f(n) wait
+    in the queue for the next propagate.  Raises NoWitnessError, with the
+    state unchanged, when n needs a witness and none is found or
+    check_step rejects the one found.  A witness needs all of 1..n-1
     pinned, as induction_sweep's order ensures."""
-    m, parts = _checked_witness(n, state.k, state.pinned)
-    label = f"induction({n}): {n}*{m}={n * m}=" + "+".join(f"{x}^2" for x in parts)
+    m, rest = _checked_step(n, state.k, state.pinned)
+    if isinstance(rest, int):
+        label = f"induction({n}): {n}={m}*{rest}"
+    else:
+        squares = "+".join(f"{x}^2" for x in rest)
+        label = f"induction({n}): {n}*{m}={n * m}={squares}"
     values = state._values.get(n)
     new = frozenset({n}) if values is None else values & {n}
     state._set(n, "value", new, label, "certified")

@@ -1,10 +1,10 @@
-"""The integer checker of one induction-certificate step."""
+"""The integer checkers of the induction certificate's two steps."""
 
 import ast
 from pathlib import Path
 
 import multsquares.certificate as certificate_module
-from multsquares.certificate import check_step
+from multsquares.certificate import check_product, check_step
 
 # f = id on 1..10 and on 111; 11 * 111 = 1221 = 11 tens, a 4, two 2s and
 # 97 ones, 111 parts in all
@@ -51,6 +51,26 @@ def test_non_integer_value_rejected():
     floats = (10,) * 11 + (4, 2.0, 2) + (1,) * 97
     assert check_step(11, 111, floats, 111, PINNED) == "a value is not an integer"
     assert check_step(11, True, PARTS, 111, PINNED) == "a value is not an integer"
+
+
+def test_valid_product_accepted():
+    assert check_product(12, 4, 3, frozenset(range(1, 12))) is None
+    assert check_product(1221, 11, 111, PINNED | {11}) is None
+
+
+def test_product_mutants_rejected():
+    pinned = frozenset(range(1, 12))
+    assert check_product(12, 4, 5, pinned) == "4*5 = 20, not 12"
+    # f(12) = f(2) f(6) needs gcd 1: f(2) = -2, f(6) = -6 would pass otherwise
+    assert check_product(12, 2, 6, pinned) == "gcd(2, 6) = 2"
+    assert check_product(12, 1, 12, pinned) == "factor 1 is below 2"
+    assert check_product(12, 12, 1, pinned) == "factor 1 is below 2"
+    assert check_product(12, 4, 3, pinned - {3}) == "factor 3 is not pinned"
+    assert check_product(12, 4, 3, pinned - {4}) == "factor 4 is not pinned"
+    # True == 1 and 3.0 == 3, so only the type check stops these
+    assert check_product(3, True, 3, pinned) == "a value is not an integer"
+    assert check_product(12, 4, 3.0, pinned) == "a value is not an integer"
+    assert check_product(12.0, 4, 3, pinned) == "a value is not an integer"
 
 
 def test_checker_imports_nothing_from_the_package():

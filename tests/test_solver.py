@@ -266,16 +266,16 @@ def test_identity_never_pruned():
 # pinned across changes
 TRACE_DIGESTS = {
     ("replay", 4): "733bee35fafe66272e6fb9e0a2f461f89867a57f213404d2bb8230502c2874f6",
-    ("replay", 5): "cf5473217dd6ee5f84f1f3e95aef0d13dc08ed795031d780c335910dc791c988",
-    ("replay", 6): "984a12606ab4cc8492a80e6ef81d31a14be4a5d895d4f62eecfa24f80258e178",
-    ("replay", 7): "8a5601e3d1fdc8aa04567166fc7f03614c765136a92e8fe0fd1cabf5c1a8f9a9",
+    ("replay", 5): "a90a1c9eca210b647b059acab1eee80cc48d048b3322058586d99f45f2177444",
+    ("replay", 6): "dc3777ac83139ec7610d532dfb0e7f9a239dfc9554721d5f140b6f5a2aecf7d5",
+    ("replay", 7): "70f92812c4cfdeb3288138472ebabe01fef8cf38742649bab512993952cb15d8",
     ("replay", 8): "1a7aa5df66827d2b637ff2d73c50b00d6c9399ace554341725f3bcea6314b068",
     ("replay", 13): "8a7988eb8fb394af4e9c685811bc38b3770e7f3ddafd25ad02cf8004713a69d2",
-    ("solve", 4): "7900fef3a8133ca7f87d6c00d6204bb7f18282c1777c8dcf44ab7537e9109c70",
+    ("solve", 4): "6226e735a913f2867ad3b7224e05c79877fb924f695fd38effcf616918017c76",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
-    ("sweep", 5): "e6f3db3686a44a2a41915b167ac4cbfcbc66544b0fdd751802d8ab19a0a1913b",
-    ("sweep", 13): "d8e83584013d83b71ee58b921dcaecb51b6f43fb3914e378fe2d0ba685cd1d76",
+    ("sweep", 5): "9511ef7c5bcddd2cc5e6ec64fbf04a48dfa67ca3cb1900660483fd927dc76cca",
+    ("sweep", 13): "2dd8bcecdf962adf613ba5a1db00e3f092975befbc419f2318a746f80a3225cb",
     ("theorem", 4): "e268a8d96a119cf8bbfa6d2e0f2a5a23d39ccc2505f1ab0f7d1d205ac70e96c3",
     ("theorem", 5): "e56865a31fc290d6328503747a1d99991419a22c674ed017312003e0244068a3",
     ("theorem", 6): "4c660b3cdff3795c73f6e18e0f6a0dfb4e44e79e6a341ee82d6fa81af4050c6e",
@@ -612,8 +612,14 @@ def test_induction_step_is_one_certified_pin():
 
 
 def test_forged_witness_raises_and_leaves_the_state(monkeypatch):
+    # only a prime power needs a witness; any other n is a coprime product
     state = replay_script(5).state
-    n = next(m for m in range(21, 100) if not state.is_pinned(m))
+    n = next(
+        m
+        for m in range(21, 100)
+        if not state.is_pinned(m) and len(factorize(m).factors) == 1
+    )
+    assert induction_sweep(state, 2, n - 1) is None
     snapshot = (
         list(state.trace),
         set(state.pinned),

@@ -1,11 +1,13 @@
 """Case verifiers, parametric identities, and the end-to-end check."""
 
+from math import gcd
+
 import pytest
 
 import multsquares.replay as replay_module
 import multsquares.solver as solver_module
 import multsquares.theorem as theorem_module
-from multsquares.arith import represent_in_semigroup
+from multsquares.arith import factorize, represent_in_semigroup
 from multsquares.certificate import check_step
 from multsquares.gaussian import gauss
 from multsquares.replay import (
@@ -30,6 +32,10 @@ from multsquares.squares import UnsupportedKError
 
 def failed_checks(report):
     return [c for c in report.checks if not c.passed]
+
+
+def is_prime_power(n):
+    return len(factorize(n).factors) == 1
 
 
 FALLING = ParametricIdentity("falling", ((-1, 600), (1, 0)), ((-1, 600), (1, 0)), 1)
@@ -273,6 +279,84 @@ def test_witness_search_sees_every_smaller_n_pinned(monkeypatch):
         calls.clear()
         assert theorem_check(k, 60).all_passed, k
         assert calls, k
+
+
+def test_witness_search_only_for_prime_powers(monkeypatch):
+    # an n that is no prime power is the product of two coprime factors
+    # the certificate has already pinned, so it needs no witness
+    real_replay = theorem_module.replay_script
+    real_search = solver_module.find_witness
+    calls, replayed = [], []
+
+    def recording(n, k, pinned):
+        calls.append(n)
+        return real_search(n, k, pinned)
+
+    def replay(k):
+        result = real_replay(k)
+        replayed.append((len(calls), set(result.state.pinned)))
+        return result
+
+    monkeypatch.setattr(solver_module, "find_witness", recording)
+    monkeypatch.setattr(theorem_module, "replay_script", replay)
+    for k in (4, 5, 8, 111):
+        calls.clear()
+        replayed.clear()
+        assert theorem_check(k, 300).all_passed, k
+        assert all(is_prime_power(n) for n in calls), k
+        start, pinned = replayed[0]
+        products = {
+            n for n in range(2, 301) if n not in pinned and not is_prime_power(n)
+        }
+        assert products and not products & set(calls[start:]), k
+
+
+def test_rejected_split_never_pins(monkeypatch):
+    # with no witness for any n that is no prime power, the true split
+    # carries the route, and a split the checker rejects stops it at the
+    # first n the replay left to such a split
+    real_search = solver_module.find_witness
+
+    def prime_powers_only(n, k, pinned):
+        if not is_prime_power(n):
+            raise NoWitnessError("stub")
+        return real_search(n, k, pinned)
+
+    def smallest_prime(n):
+        return factorize(n).factors[0][0]
+
+    def is_coprime_split(n, a, b):
+        return a * b == n and gcd(a, b) == 1 and min(a, b) > 1
+
+    mutants = [
+        lambda n: (2, n),
+        lambda n: (smallest_prime(n), n // smallest_prime(n)),
+        lambda n: (1, n),
+    ]
+    monkeypatch.setattr(solver_module, "find_witness", prime_powers_only)
+    for k in (4, 8):
+        assert theorem_check(k, 100).all_passed, k
+        pinned = replay_script(k).state.pinned
+        for split in mutants:
+            first = next(
+                n
+                for n in range(2, 101)
+                if n not in pinned
+                and not is_prime_power(n)
+                and not is_coprime_split(n, *split(n))
+            )
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "_coprime_split", split)
+                report = theorem_check(k, 100)
+            induction = next(c for c in report.checks if c.name == "induction")
+            assert induction.detail == f"at n={first}: stub", (k, first)
+            assert report.all_passed is False
+
+
+def test_split_matches_factorize():
+    for n in range(2, 10**4 + 1):
+        a = factorize(n).prime_powers[0]
+        assert solver_module._coprime_split(n) == (a, n // a), n
 
 
 def test_route_checks_every_witness(monkeypatch):

@@ -15,7 +15,7 @@ from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
 from .gaussian import Rational, gauss
 from .solver import SolverState, TraceStep, induction_sweep
-from .squares import MAX_K, is_dubouis_exception, iter_representations
+from .squares import MAX_K, iter_representations
 
 
 class ReplayMismatchError(AssertionError):
@@ -229,7 +229,6 @@ def _stages_k6() -> List[ReplayStage]:
                 _sos(30, 4, 2, 2, 2, 1, 1),
                 Multiplicative(30, 5, 6),
                 _sos(41, 6, 1, 1, 1, 1, 1),
-                _sos(41, 5, 3, 2, 1, 1, 1),
                 _sos(21, 4, 1, 1, 1, 1, 1),
                 _sos(21, 2, 2, 2, 2, 2, 1),
             ),
@@ -244,8 +243,6 @@ def _stages_k6() -> List[ReplayStage]:
             "sign-resolution",
             (
                 _sos(9, 2, 1, 1, 1, 1, 1),
-                _sos(18, 2, 2, 2, 2, 1, 1),
-                Multiplicative(18, 2, 9),
                 _sos(36, 5, 2, 2, 1, 1, 1),
                 Multiplicative(36, 4, 9),
                 _sos(12, 2, 2, 1, 1, 1, 1),
@@ -257,12 +254,6 @@ def _stages_k6() -> List[ReplayStage]:
                 Expectation(3, _vset(3)),
                 Expectation(4, _vset(4)),
             ),
-        ),
-        ReplayStage(
-            "induction",
-            (),
-            tuple(Expectation(n, _vset(n)) for n in range(7, 21)),
-            induction_range=(7, 20),
         ),
     ]
 
@@ -283,14 +274,12 @@ def _stages_k7() -> List[ReplayStage]:
             "block-31-42",
             (
                 _sos(31, 3, 3, 3, 1, 1, 1, 1),
-                _sos(31, 4, 2, 2, 2, 1, 1, 1),
                 _sos(31, 5, 1, 1, 1, 1, 1, 1),
                 # the 42 = 36 + 6 squares instance reads its largest part as
-                # a single 6, tied to f(6) = f(2) f(3) by multiplicativity
+                # a single 6, whose split form writes f(6)^2 as f(2)^2 f(3)^2
                 _sos(42, 6, 1, 1, 1, 1, 1, 1),
                 _sos(42, 4, 3, 2, 2, 2, 2, 1),
                 _sos(42, 5, 3, 2, 1, 1, 1, 1),
-                Multiplicative(6, 2, 3),
             ),
             (
                 Expectation(2, _pm(2)),
@@ -320,12 +309,6 @@ def _stages_k7() -> List[ReplayStage]:
                 Expectation(5, _vset(5)),
                 Expectation(6, _vset(6)),
             ),
-        ),
-        ReplayStage(
-            "induction",
-            (),
-            tuple(Expectation(n, _vset(n)) for n in range(8, 21)),
-            induction_range=(8, 20),
         ),
     ]
 
@@ -371,7 +354,7 @@ def _sign_witness(k: int, q: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]
     f(q*m) = f(q) f(m) give f(q) = q."""
     m = k + 1
     while True:
-        if gcd(m, q) == 1 and not is_dubouis_exception(m, k):
+        if gcd(m, q) == 1:
             low = next(iter_representations(m, k, SMALL_MAX), None)
             high = None if low is None else next(
                 iter_representations(q * m, k, SMALL_MAX), None
@@ -391,8 +374,12 @@ def _stages_general(k: int) -> List[ReplayStage]:
     40/32 double representations and the construction of k^2 + k - 1
     settle f(k - 1), and f(2) and f(3) up to sign; positivity then fixes
     each of those two signs from one witness pair with parts at most
-    SMALL_MAX.
-    From n = 4 on the theorem's induction certificate takes over."""
+    SMALL_MAX.  The 40/32 sums need no f(6) = f(2) f(3): their split forms
+    write f(6)^2 as f(2)^2 f(3)^2.  A witness sum whose target is k + 24
+    or k + 35 repeats a 40/32 sum (k = 13, 18 and 23), and the stage still
+    states it, so each witness pair reads in full.
+    From n = 4 on the theorem's induction certificate takes over, pinning
+    6 as the coprime product 2*3."""
     sign_constraints: List[Constraint] = []
     sign_expects = []
     seen: set = set()
@@ -422,8 +409,7 @@ def _stages_general(k: int) -> List[ReplayStage]:
                 _padded_sos(core, k)
                 for _, first, second in DOUBLE_REPRESENTATIONS
                 for core in (first, second)
-            )
-            + (Multiplicative(6, 2, 3),),
+            ),
             (
                 Expectation(2, _vset(1, -1, 2, -2), "within"),
                 Expectation(3, _vset(1, -1, 3, -3), "within"),

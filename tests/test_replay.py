@@ -124,8 +124,8 @@ GENERAL_STAGES = [
 @pytest.mark.parametrize("k", [8, 9, 10, 12, 13, 40, 97, 111, 500])
 def test_replay_generic_k(k):
     # the script settles f(2), f(3), f(k - 1) and f(k), and below k - 1
-    # nothing past 3 but f(6) = f(2) f(3): each sign witness sums squares of
-    # parts whose squares the construction already fixed
+    # nothing past 3: each sign witness sums squares of parts whose squares
+    # the construction already fixed, and the certificate pins 6 = 2*3
     result = replay_script(k)
     assert stage_names(result) == GENERAL_STAGES
     positivity = replay_module._stages(k)[-1]
@@ -133,47 +133,65 @@ def test_replay_generic_k(k):
     assert sums and all(max(c.parts) <= 3 for c in sums), k
     for n in (1, 2, 3, k - 1, k):
         assert final(result, n) == only(n), (k, n)
-    assert [n for n in sorted(result.state.pinned) if n < k - 1] == [1, 2, 3, 6], k
+    assert [n for n in sorted(result.state.pinned) if n < k - 1] == [1, 2, 3], k
 
 
 def test_replay_end_states_identity():
-    # k = 4 has no induction sweep and ends at chain-18; the certificate
-    # pins every other n
-    result = replay_script(4)
-    for n in (1, 2, 3, 4, 5, 7, 9, 10, 12, 18, 20, 28, 35):
-        assert final(result, n) == only(n), (4, n)
-    for k in (5, 6, 7):
+    # only the k = 5 replay ends in an induction sweep, to 20; the other
+    # scripts end where the certificate can start, and it pins every other n
+    end_states = {
+        4: [1, 2, 3, 4, 5, 7, 9, 10, 12, 18, 20, 28, 35],
+        5: list(range(1, 21)) + [26, 29, 39],
+        6: [1, 2, 3, 4, 5, 6, 9, 12, 21, 30, 36, 41],
+        7: [1, 2, 3, 4, 5, 6, 7, 13, 26, 31, 39, 42, 52, 55, 65],
+    }
+    for k, pinned in end_states.items():
         result = replay_script(k)
-        for n in range(1, 21):
+        assert sorted(result.state.pinned) == pinned, k
+        for n in pinned:
             assert final(result, n) == only(n), (k, n)
 
 
-# Stages whose claims no later stage and no certificate step needs, with
-# the reason each stays in its script.
+# Stages, and constraints keyed (k, stage, constraint), that no later
+# stage and no certificate step needs, with the reason each stays in its
+# script.
 KEPT_WITHOUT_NEED = {
     (4, "chain-18"): "acceptance criterion 3 reads its claim f(9) = 9",
     (5, "induction"): "the benchmark's self-tests read 1..20 pinned from the k = 5 replay",
-    (6, "induction"): "kept with k = 5's until pin_by_induction goes",
-    (7, "induction"): "kept with k = 5's until pin_by_induction goes",
+    (13, "positivity", SumOfSquares(48, replay_module.pad((3, 3, 3, 3, 2), 13))): (
+        "the sign witness 3*16 = 48 states its sum, which at 48 = k + 35 is"
+        " also the 40/32 stage's"
+    ),
 }
 
 
-def _without_stage(monkeypatch, name):
-    stages = replay_module._stages
-    monkeypatch.setattr(
-        replay_module, "_stages", lambda k: [s for s in stages(k) if s.name != name]
-    )
+_scripts = replay_module._stages  # read before any test patches it
+
+
+def ablated_scripts(k):
+    """Each script of k with one stage, or one constraint of a stage, left
+    out, keyed as in KEPT_WITHOUT_NEED."""
+    script = list(_scripts(k))
+    for i, stage in enumerate(script):
+        before, after = script[:i], script[i + 1 :]
+        yield (k, stage.name), before + after
+        for j, constraint in enumerate(stage.constraints):
+            rest = stage.constraints[:j] + stage.constraints[j + 1 :]
+            kept = stage._replace(constraints=rest)
+            yield (k, stage.name, constraint), before + [kept] + after
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 13, 500])
 def test_every_stage_is_needed(monkeypatch, k):
-    # dropping any one stage fails theorem_check(k, 300), through a later
-    # stage's claim or the certificate, save the stages kept without need
-    for stage in [s.name for s in replay_module._stages(k)]:
-        with monkeypatch.context() as patch:
-            _without_stage(patch, stage)
-            passed = theorem_check(k, 300).all_passed
-        assert passed == ((k, stage) in KEPT_WITHOUT_NEED), (k, stage)
+    # dropping any one stage, or any one constraint, fails
+    # theorem_check(k, 300), through a later stage's claim or the
+    # certificate, save those kept without need
+    passed = set()
+    for key, script in ablated_scripts(k):
+        monkeypatch.setattr(replay_module, "_stages", lambda _k, s=script: s)
+        if theorem_check(k, 300).all_passed:
+            passed.add(key)
+    assert passed == {key for key in KEPT_WITHOUT_NEED if key[0] == k}
 
 
 @pytest.mark.parametrize("q, broken", [(2, 9), (3, 8)])

@@ -267,15 +267,15 @@ def test_identity_never_pruned():
 TRACE_DIGESTS = {
     ("replay", 4): "733bee35fafe66272e6fb9e0a2f461f89867a57f213404d2bb8230502c2874f6",
     ("replay", 5): "a90a1c9eca210b647b059acab1eee80cc48d048b3322058586d99f45f2177444",
-    ("replay", 6): "dc3777ac83139ec7610d532dfb0e7f9a239dfc9554721d5f140b6f5a2aecf7d5",
-    ("replay", 7): "70f92812c4cfdeb3288138472ebabe01fef8cf38742649bab512993952cb15d8",
-    ("replay", 8): "1a7aa5df66827d2b637ff2d73c50b00d6c9399ace554341725f3bcea6314b068",
-    ("replay", 13): "8a7988eb8fb394af4e9c685811bc38b3770e7f3ddafd25ad02cf8004713a69d2",
+    ("replay", 6): "9f714ea638d828a830ba8d1d3963e670f99f062c11f338c4825f6bccd3671c65",
+    ("replay", 7): "db971218c63c4ac9a3187c25ba74f4cebe9a640740181efaae68b5a332b6821b",
+    ("replay", 8): "af08877da92e43d335441d12dfdde08baaadfd55951cd4b93aa2c7614cebc99e",
+    ("replay", 13): "ba30c658ba0711a8e02c1550dc5d07863c3fc968167d47a42e8d798e7b3d74eb",
     ("solve", 4): "6226e735a913f2867ad3b7224e05c79877fb924f695fd38effcf616918017c76",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
     ("sweep", 5): "9511ef7c5bcddd2cc5e6ec64fbf04a48dfa67ca3cb1900660483fd927dc76cca",
-    ("sweep", 13): "2dd8bcecdf962adf613ba5a1db00e3f092975befbc419f2318a746f80a3225cb",
+    ("sweep", 13): "8e4f3ca5e61900b2c3894a2d396dffa15fb6e499e1e395ddab59285704dea6e2",
     ("theorem", 4): "e268a8d96a119cf8bbfa6d2e0f2a5a23d39ccc2505f1ab0f7d1d205ac70e96c3",
     ("theorem", 5): "e56865a31fc290d6328503747a1d99991419a22c674ed017312003e0244068a3",
     ("theorem", 6): "4c660b3cdff3795c73f6e18e0f6a0dfb4e44e79e6a341ee82d6fa81af4050c6e",
@@ -666,6 +666,46 @@ def test_pairing_needed_for_solve_k13(monkeypatch):
         m.setattr(solver_module, "PAIR_CAP", 0)
         assert len(solve(13, 60).pinned) == 2
     assert solve(13, 60).all_pinned
+
+
+class RecordingCap(int):
+    """A cap that records each size it refuses.  A size compared with an
+    int subclass calls the subclass's reflected method first, so
+    `size <= cap` runs __ge__ and `size > cap` runs __lt__."""
+
+    def __new__(cls, value):
+        cap = super().__new__(cls, value)
+        cap.refused = []
+        return cap
+
+    def __ge__(self, size):
+        if size > int(self):
+            self.refused.append(size)
+        return int(self) >= size
+
+    def __lt__(self, size):
+        if size > int(self):
+            self.refused.append(size)
+        return int(self) < size
+
+
+def test_set_cap_binds_on_a_user_input(monkeypatch):
+    # solve(30, 100) meets candidate sets of 72 to 120 values; refusing to
+    # store them, it still pins all 100 (lifted, the same call runs past
+    # 25 s)
+    cap = RecordingCap(solver_module.SET_CAP)
+    monkeypatch.setattr(solver_module, "SET_CAP", cap)
+    assert solve(30, 100).all_pinned
+    assert sorted(cap.refused) == [72] * 3 + [96] * 3 + [120] * 4
+
+
+def test_combination_cap_binds_on_a_user_input(monkeypatch):
+    # solve(50, 100) meets equations whose other unknowns allow 6144 to
+    # 16384 joint assignments; each such revision is skipped
+    cap = RecordingCap(solver_module.COMBINATION_CAP)
+    monkeypatch.setattr(solver_module, "COMBINATION_CAP", cap)
+    solve(50, 100)
+    assert sorted(cap.refused) == [6144, 8192, 12288, 12288, 12288, 16384]
 
 
 def test_budget_exceeded():

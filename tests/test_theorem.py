@@ -1,5 +1,6 @@
 """Case verifiers, parametric identities, and the end-to-end check."""
 
+import sys
 from math import gcd
 
 import pytest
@@ -233,6 +234,23 @@ def test_every_case_reports_one_route():
             "induction",
             "pinned-to-60",
         ], k
+
+
+def test_theorem_route_reads_no_closed_form(monkeypatch):
+    # the sign witnesses' bounded search rejects Dubouis's exceptions by
+    # itself, so the route never asks the cited closed form, under any
+    # module's name for it
+    def cited(n, k):
+        raise AssertionError(f"closed form read for n={n}, k={k}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multsquares" and hasattr(
+            module, "is_dubouis_exception"
+        ):
+            monkeypatch.setattr(module, "is_dubouis_exception", cited)
+    for k in (4, 5, 6, 7, 8, 13, 500):
+        report = theorem_check(k, 300)
+        assert report.all_passed, (k, failed_checks(report))
 
 
 def test_induction_failure_reason_reported(monkeypatch):

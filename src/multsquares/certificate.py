@@ -1,11 +1,14 @@
 """Integer checker for one step of the theorem's induction certificate.
 
 A step rests on one of two lemmas.  Let S be a set of arguments with
-f(s) = s for every s in S.
+f(s) = s for every s in S (the pinned set), and T one with f(t)^2 = t^2
+for every t in T (the signless set).
 
 - Witness: if m is in S, gcd(n, m) = 1 and n*m = x_1^2 + ... + x_k^2
-  with every x_i in S, then f(n) m = f(n m) = x_1^2 + ... + x_k^2 = n m,
-  so f(n) = n.  The step is the witness (m, parts), checked by check_step.
+  with every x_i in S or T, then f(n) m = f(n m) = f(x_1)^2 + ... +
+  f(x_k)^2 = n m, so f(n) = n.  Only the parts are read through their
+  squares, so only they may come from T.  The step is the witness
+  (m, parts), checked by check_step.
 - Coprime product: if n = a*b with gcd(a, b) = 1, a, b > 1 and both in S,
   then f(n) = f(a) f(b) = a b = n.  The step is the split (a, b), checked
   by check_product.
@@ -20,10 +23,15 @@ from typing import Container, Optional, Sequence
 
 
 def check_step(
-    n: int, m: int, parts: Sequence[int], k: int, pinned: Container[int]
+    n: int,
+    m: int,
+    parts: Sequence[int],
+    k: int,
+    pinned: Container[int],
+    signless: Container[int],
 ) -> Optional[str]:
-    """Why (m, parts) does not certify f(n) = n from f = id on pinned, or
-    None when it does."""
+    """Why (m, parts) does not certify f(n) = n from f = id on pinned and
+    f(x)^2 = x^2 on signless, or None when it does."""
     if not all(type(v) is int for v in (n, m, k, *parts)):
         return "a value is not an integer"
     if m not in pinned:
@@ -34,8 +42,8 @@ def check_step(
     if len(parts) != k:
         return f"{len(parts)} parts, not {k}"
     for x in parts:
-        if x not in pinned:
-            return f"part {x} is not pinned"
+        if x not in pinned and x not in signless:
+            return f"part {x} is neither pinned nor signless"
     total = sum(x * x for x in parts)
     if total != n * m:
         return f"squares sum to {total}, not {n}*{m} = {n * m}"

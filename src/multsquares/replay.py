@@ -8,14 +8,13 @@ claimed intermediate results.  A mismatch raises ReplayMismatchError.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .arith import represent_in_semigroup
 from .constraints import Constraint, Multiplicative, SumOfSquares
 from .gaussian import Rational, gauss
 from .solver import SolverState, TraceStep, induction_sweep
-from .squares import MAX_K, iter_representations
+from .squares import MAX_K
 
 
 class ReplayMismatchError(AssertionError):
@@ -190,26 +189,10 @@ def _stages_k5() -> List[ReplayStage]:
             ),
         ),
         ReplayStage(
-            "sign-resolution",
-            (
-                _sos(13, 3, 1, 1, 1, 1),
-                _sos(26, 4, 2, 2, 1, 1),
-                Multiplicative(26, 2, 13),
-                _sos(39, 4, 3, 3, 2, 1),
-                Multiplicative(39, 3, 13),
-                Multiplicative(6, 2, 3),
-            ),
-            (
-                Expectation(2, _vset(2)),
-                Expectation(3, _vset(3)),
-                Expectation(6, _vset(6)),
-            ),
-        ),
-        ReplayStage(
             "induction",
             (),
-            tuple(Expectation(n, _vset(n)) for n in range(7, 21)),
-            induction_range=(7, 20),
+            tuple(Expectation(n, _vset(n)) for n in range(2, 21)),
+            induction_range=(2, 20),
         ),
     ]
 
@@ -237,22 +220,6 @@ def _stages_k6() -> List[ReplayStage]:
                 Expectation(3, _pm(3)),
                 Expectation(4, _pm(4)),
                 Expectation(5, _vset(5)),
-            ),
-        ),
-        ReplayStage(
-            "sign-resolution",
-            (
-                _sos(9, 2, 1, 1, 1, 1, 1),
-                _sos(36, 5, 2, 2, 1, 1, 1),
-                Multiplicative(36, 4, 9),
-                _sos(12, 2, 2, 1, 1, 1, 1),
-                Multiplicative(12, 3, 4),
-                Multiplicative(6, 2, 3),
-            ),
-            (
-                Expectation(2, _vset(2)),
-                Expectation(3, _vset(3)),
-                Expectation(4, _vset(4)),
             ),
         ),
     ]
@@ -288,28 +255,6 @@ def _stages_k7() -> List[ReplayStage]:
                 Expectation(5, _pm(5)),
             ),
         ),
-        ReplayStage(
-            "sign-resolution",
-            (
-                _sos(13, 2, 2, 1, 1, 1, 1, 1),
-                _sos(26, 3, 3, 2, 1, 1, 1, 1),
-                Multiplicative(26, 2, 13),
-                _sos(39, 5, 3, 1, 1, 1, 1, 1),
-                Multiplicative(39, 3, 13),
-                _sos(52, 4, 4, 4, 1, 1, 1, 1),
-                Multiplicative(52, 4, 13),
-                _sos(65, 6, 4, 3, 1, 1, 1, 1),
-                Multiplicative(65, 5, 13),
-                Multiplicative(6, 2, 3),
-            ),
-            (
-                Expectation(2, _vset(2)),
-                Expectation(3, _vset(3)),
-                Expectation(4, _vset(4)),
-                Expectation(5, _vset(5)),
-                Expectation(6, _vset(6)),
-            ),
-        ),
     ]
 
 
@@ -342,28 +287,6 @@ EXPECTED_SIGN_PAIRS = frozenset(
     for sb in (1, -1)
 )
 
-# construction-k^2+k-1 settles f(2..SMALL_MAX) up to sign, and positivity
-# fixes those signs with witnesses whose parts are all at most SMALL_MAX
-SMALL_MAX = 3
-
-
-def _sign_witness(k: int, q: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """Smallest m > k with gcd(m, q) = 1 and m, q*m both sums of k squares
-    of parts at most SMALL_MAX, and the representations of m and q*m found.
-    Each part's square is then known, so f(m) = m, f(q*m) = q*m and
-    f(q*m) = f(q) f(m) give f(q) = q."""
-    m = k + 1
-    while True:
-        if gcd(m, q) == 1:
-            low = next(iter_representations(m, k, SMALL_MAX), None)
-            high = None if low is None else next(
-                iter_representations(q * m, k, SMALL_MAX), None
-            )
-            if high is not None:
-                return m, low, high
-        m += 1
-
-
 def _padded_sos(core: Sequence[int], k: int) -> SumOfSquares:
     parts = pad(core, k)
     return SumOfSquares(sum(x * x for x in parts), parts)
@@ -372,26 +295,11 @@ def _padded_sos(core: Sequence[int], k: int) -> SumOfSquares:
 def _stages_general(k: int) -> List[ReplayStage]:
     """The script of case k >= 8: f(k) = k, the k(k-1) growth step, the
     40/32 double representations and the construction of k^2 + k - 1
-    settle f(k - 1), and f(2) and f(3) up to sign; positivity then fixes
-    each of those two signs from one witness pair with parts at most
-    SMALL_MAX.  The 40/32 sums need no f(6) = f(2) f(3): their split forms
-    write f(6)^2 as f(2)^2 f(3)^2.  A witness sum whose target is k + 24
-    or k + 35 repeats a 40/32 sum (k = 13, 18 and 23), and the stage still
-    states it, so each witness pair reads in full.
-    From n = 4 on the theorem's induction certificate takes over, pinning
-    6 as the coprime product 2*3."""
-    sign_constraints: List[Constraint] = []
-    sign_expects = []
-    seen: set = set()
-    for q in range(2, SMALL_MAX + 1):
-        m, low, high = _sign_witness(k, q)
-        for t, parts in ((m, low), (q * m, high)):
-            c = SumOfSquares(t, parts)
-            if c not in seen:
-                seen.add(c)
-                sign_constraints.append(c)
-        sign_constraints.append(Multiplicative(q * m, min(q, m), max(q, m)))
-        sign_expects.append(Expectation(q, _vset(q)))
+    settle f(k - 1), and f(2) and f(3) up to sign.  The 40/32 sums need no
+    f(6) = f(2) f(3): their split forms write f(6)^2 as f(2)^2 f(3)^2.
+    No stage fixes those two signs: a certificate witness reads its parts
+    only through their squares, so the theorem's induction certificate
+    takes over from n = 2, and pins 6 as the coprime product 2*3."""
     return [
         ReplayStage(
             "seed",
@@ -428,7 +336,6 @@ def _stages_general(k: int) -> List[ReplayStage]:
                 Expectation(k - 1, _vset(k - 1)),
             ),
         ),
-        ReplayStage("positivity", tuple(sign_constraints), tuple(sign_expects)),
     ]
 
 

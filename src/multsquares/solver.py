@@ -232,15 +232,14 @@ class SolverState:
         self.trace: List[TraceStep] = []
         self._values: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
         self._squares: Dict[int, Optional[FrozenSet[Rational]]] = {1: frozenset({1})}
-        # the n whose value set is {n}; _set, the only writer of values,
-        # keeps it, so a lookup costs O(1) and the certificate reads it whole
+        # the n whose value set is {n}, and the n whose value set was once
+        # {-n, n}; _set, the only writer of values, keeps both, so a lookup
+        # costs O(1) and the certificate reads them whole
         self.pinned: Set[int] = {1}
+        self.signless: Set[int] = set()
         self._equations: List[_Equation] = []
         self._eq_keys: set = set()
         self._var_eqs: Dict[int, List[int]] = {}
-        # the equations in which a variable has some odd power: the only
-        # ones a sign-only narrowing of it can change (see _set)
-        self._odd_eqs: Dict[int, List[int]] = {}
         self._forms: Dict[int, List[Tuple[str, Poly]]] = {}
         self._sos_seen: Dict[int, int] = {}
         self._pending: List[int] = []
@@ -317,8 +316,6 @@ class SolverState:
         self._equations.append(eq)
         for v in eq.vars:
             self._var_eqs.setdefault(v, []).append(eq.eq_id)
-            if v in eq.odd:
-                self._odd_eqs.setdefault(v, []).append(eq.eq_id)
             self._values.setdefault(v, None)
             self._squares.setdefault(v, None)
         self._push(eq.eq_id)
@@ -329,10 +326,9 @@ class SolverState:
             self._in_pending.add(eq_id)
             heapq.heappush(self._pending, eq_id)
 
-    def _touch(self, var: int, odd_only: bool = False) -> None:
-        """Queue the equations of var, or only those in which it has some
-        odd power."""
-        for eq_id in (self._odd_eqs if odd_only else self._var_eqs).get(var, ()):
+    def _touch(self, var: int) -> None:
+        """Queue the equations of var."""
+        for eq_id in self._var_eqs.get(var, ()):
             self._push(eq_id)
 
     # -- narrowing ----------------------------------------------------------
@@ -560,14 +556,10 @@ class SolverState:
         rule: str,
     ) -> None:
         """Narrow one view of var to new, recording the step under label,
-        and queue the equations the change can affect.
+        and queue the equations of var.
 
-        A value set also fixes the square image.  When a known value set
-        narrows and that image is unchanged (a sign-only narrowing such as
-        {-2, 2} to {2}), only the equations in which var has some odd power
-        are queued: in every other equation x and -x give each term the
-        same value, so it would narrow nothing.  A first value set queues
-        every equation of var, since none could read var before.  A square
+        A value set also fixes the square image, and puts var in pinned
+        when it is {var} or in signless when it is {-var, var}.  A square
         set (made only while the values are unknown) whose roots are all
         rational fixes the values through the rule "square-root"."""
         store = self._values if view == "value" else self._squares
@@ -580,15 +572,14 @@ class SolverState:
             TraceStep(label, var, view, _fmt_set(old), _fmt_set(new), rule)
         )
         store[var] = new
+        self._touch(var)
         if view == "value":
-            squares = frozenset(v * v for v in new)
-            sign_only = old is not None and squares == self._squares.get(var)
-            self._touch(var, odd_only=sign_only)
-            self._squares[var] = squares
+            self._squares[var] = frozenset(v * v for v in new)
             if new == {var}:
                 self.pinned.add(var)
+            elif new == {var, -var}:
+                self.signless.add(var)
             return
-        self._touch(var)
         roots: List[Rational] = []
         for s in new:
             ws = _sqrts(s)
@@ -748,9 +739,10 @@ class SolverReport(NamedTuple):
 # One step rests on a lemma checked in multsquares.certificate.  An n that
 # is no prime power is the product of two smaller coprime pinned factors,
 # which check_product confirms.  A prime power needs a witness: m pinned,
-# gcd(n, m) = 1 and n*m a sum of k squares of pinned parts give f(n) = n;
-# find_witness searches for it and check_step confirms it.  So no pin of
-# the induction rests on the search or on the engine's evaluator.
+# gcd(n, m) = 1 and n*m a sum of k squares of parts each pinned or
+# signless give f(n) = n; find_witness searches for it and check_step
+# confirms it.  So no pin of the induction rests on the search or on the
+# engine's evaluator.
 
 # search nodes the coprime fallback may visit for one n, over every m it tries
 FALLBACK_NODES = 10_000
@@ -760,16 +752,20 @@ SHOWN_ATTEMPTS = 6
 
 
 def _excess_parts(
-    excess: int, terms: int, pinned: Set[int], nodes: int
+    excess: int, terms: int, pinned: Set[int], signless: Set[int], nodes: int
 ) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """At most `terms` pinned x >= 2, non-increasing, whose x^2 - 1 sum to
-    excess (None if none is found), and what is left of the `nodes` the
-    search may visit, one per frame.  Depth-first, largest x first, on an
-    explicit stack whose frames are [next index into xs, excess left, terms
-    left]."""
+    """At most `terms` x >= 2, each pinned or signless, non-increasing,
+    whose x^2 - 1 sum to excess (None if none is found), and what is left
+    of the `nodes` the search may visit, one per frame.  Depth-first,
+    largest x first, on an explicit stack whose frames are [next index
+    into xs, excess left, terms left]."""
     if nodes == 0:
         return None, 0
-    xs = [x for x in range(isqrt(excess + 1), 1, -1) if x in pinned]
+    xs = [
+        x
+        for x in range(isqrt(excess + 1), 1, -1)
+        if x in pinned or x in signless
+    ]
     cost = [x * x - 1 for x in xs]
     chosen: List[int] = []
     frames = [[0, excess, terms]]
@@ -795,7 +791,9 @@ def _excess_parts(
     return None, nodes
 
 
-def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]]:
+def find_witness(
+    n: int, k: int, pinned: Set[int], signless: Set[int]
+) -> Tuple[int, Tuple[int, ...]]:
     """A witness (m, parts) for f(n) = n under the lemma of
     multsquares.certificate, parts non-increasing.
 
@@ -806,9 +804,9 @@ def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]
     argument, which check_step rejects.  First m = n - 1:
     any k-square representation of n(n-1) with parts below n will do.  Then
     each other pinned m coprime to n with n*m >= k, smallest first: n*m - k
-    written as at most k terms x^2 - 1 over pinned x >= 2, the other parts
-    being 1.  That fallback visits at most FALLBACK_NODES search nodes in
-    all.
+    written as at most k terms x^2 - 1 over pinned or signless x >= 2, the
+    other parts being 1.  That fallback visits at most FALLBACK_NODES
+    search nodes in all.
     Raises NoWitnessError naming each m tried and why it failed."""
     target = n * (n - 1)
     parts = next(iter_representations(target, k, n - 1), None)
@@ -823,10 +821,13 @@ def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]
     nodes = FALLBACK_NODES
     for m in others:
         excess = n * m - k
-        parts, nodes = _excess_parts(excess, k, pinned, nodes)
+        parts, nodes = _excess_parts(excess, k, pinned, signless, nodes)
         if parts is not None:
             return m, parts + (1,) * (k - len(parts))
-        sums = f"{excess} = {n}*{m}-{k} as at most {k} terms x^2-1 over pinned x >= 2"
+        sums = (
+            f"{excess} = {n}*{m}-{k} as at most {k} terms x^2-1"
+            " over pinned or signless x >= 2"
+        )
         if nodes == 0:
             tried.append(f"m={m}: search for {sums} stopped at {FALLBACK_NODES} nodes")
             break
@@ -836,12 +837,14 @@ def find_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]
     raise NoWitnessError("; ".join(tried))
 
 
-def _checked_witness(n: int, k: int, pinned: Set[int]) -> Tuple[int, Tuple[int, ...]]:
+def _checked_witness(
+    n: int, k: int, pinned: Set[int], signless: Set[int]
+) -> Tuple[int, Tuple[int, ...]]:
     """find_witness's witness (m, parts) for n, once check_step has accepted
     it.  Raises NoWitnessError when none is found or the one found is
     rejected."""
-    m, parts = find_witness(n, k, pinned)
-    fault = check_step(n, m, parts, k, pinned)
+    m, parts = find_witness(n, k, pinned, signless)
+    fault = check_step(n, m, parts, k, pinned, signless)
     if fault is not None:
         raise NoWitnessError(f"certificate rejected: {fault}")
     return m, parts
@@ -862,7 +865,7 @@ def _coprime_split(n: int) -> Tuple[int, int]:
 
 
 def _checked_step(
-    n: int, k: int, pinned: Set[int]
+    n: int, k: int, pinned: Set[int], signless: Set[int]
 ) -> Tuple[int, Union[int, Tuple[int, ...]]]:
     """One checked certificate step for n: the split (a, b) of n into its
     smallest prime's power and the coprime rest, when n is no prime power
@@ -871,22 +874,23 @@ def _checked_step(
     a, b = _coprime_split(n)
     if a != n and check_product(n, a, b, pinned) is None:
         return a, b
-    return _checked_witness(n, k, pinned)
+    return _checked_witness(n, k, pinned, signless)
 
 
 def certify_induction(
-    k: int, pinned: Set[int], bound: int
+    k: int, pinned: Set[int], signless: Set[int], bound: int
 ) -> Optional[Tuple[int, str]]:
     """Certify f(n) = n for n = 2..bound in order, adding each n to pinned:
     an n already pinned is skipped, an n with two coprime factors above 1
-    is their product, and a prime power needs a checked witness.  Returns
+    is their product, and a prime power needs a checked witness, whose
+    parts may also come from signless.  Returns
     the first n left uncertified with the reason, or None.  Since it stops
     there, all of 1..n-1 are pinned whenever find_witness is called for n."""
     for n in range(2, bound + 1):
         if n in pinned:
             continue
         try:
-            _checked_step(n, k, pinned)
+            _checked_step(n, k, pinned, signless)
         except NoWitnessError as exc:
             return n, str(exc)
         pinned.add(n)
@@ -894,7 +898,8 @@ def certify_induction(
 
 
 def pin_by_induction(state: SolverState, n: int) -> SolverState:
-    """Pin f(n) = n by one checked certificate step over state.pinned.
+    """Pin f(n) = n by one checked certificate step over state.pinned and
+    state.signless.
 
     The pin is a single trace step, rule "certified", whose label names
     the split n=a*b of a product step or n*m and the parts of a witness.
@@ -903,7 +908,7 @@ def pin_by_induction(state: SolverState, n: int) -> SolverState:
     state unchanged, when n needs a witness and none is found or
     check_step rejects the one found.  A witness needs all of 1..n-1
     pinned, as induction_sweep's order ensures."""
-    m, rest = _checked_step(n, state.k, state.pinned)
+    m, rest = _checked_step(n, state.k, state.pinned, state.signless)
     if isinstance(rest, int):
         label = f"induction({n}): {n}={m}*{rest}"
     else:

@@ -4,10 +4,11 @@ For each k >= 4 the checker replays the case's scripted chain.  The sums
 of squares the replay feeds the engine need no check here: each
 SumOfSquares checks its sum when it is built, and the engine refuses one
 whose part count is not k.  The replay's pinned set S, the arguments it
-shows have f(s) = s, is the trust base of the rest: an induction
-certificate extends S to every n up to a bound, one witness per n, by the
-lemma checked in multsquares.certificate (m in S coprime to n and n*m a
-sum of k squares of members of S give f(n) = n).  A witness search finds
+shows have f(s) = s, and its signless set T, those it shows have
+f(t) = +-t, are the trust base of the rest: an induction certificate
+extends S to every n up to a bound, one witness per n, by the lemma
+checked in multsquares.certificate (m in S coprime to n and n*m a sum of
+k squares of members of S or T give f(n) = n).  A witness search finds
 each step and certificate.check_step confirms it in integer arithmetic.
 No solver runs after the replay, whose fixed script needs no propagation
 budget.  Every case reports the same three checks: replay, induction and
@@ -118,8 +119,8 @@ def check_parametric(identity: ParametricIdentity) -> CheckResult:
 def _proof_route(case: str, k: int, bound: int) -> CaseReport:
     """The checks every case k >= 4 reports.
 
-    `replay` runs the scripted replay; its pinned set is the
-    certificate's trust base.  `induction` extends that set to every n up
+    `replay` runs the scripted replay; its pinned and signless sets are
+    the certificate's trust base.  `induction` extends that set to every n up
     to bound by certify_induction, each step an integer check of the lemma
     in multsquares.certificate, with no solver propagation.
     `pinned-to-<bound>` then requires every n up to bound to be pinned by
@@ -130,7 +131,7 @@ def _proof_route(case: str, k: int, bound: int) -> CaseReport:
     except ReplayMismatchError as exc:
         return CaseReport(case, k, (CheckResult("replay", False, str(exc)),), True)
     pinned = set(replayed.state.pinned)
-    failure = certify_induction(k, pinned, bound)
+    failure = certify_induction(k, pinned, replayed.state.signless, bound)
     missing = [n for n in range(1, bound + 1) if n not in pinned]
     checks = (
         CheckResult("replay", True, "all stage claims match"),
@@ -156,17 +157,18 @@ def verify_case_k4(bound: int) -> CaseReport:
 
 def verify_case_k(k: int, bound: int) -> CaseReport:
     """Checks for k in {5, 6, 7}: the shared proof route, whose replay
-    feeds the engine each sum of squares the case displays."""
+    fixes f(2) and f(3) up to sign and leaves their signs to the
+    induction."""
     if k not in (5, 6, 7):
         raise UnsupportedKError("this case verifier handles k in {5, 6, 7}")
     return _proof_route(f"{k}-squares", k, bound)
 
 
 def verify_case_general(k: int, bound: int) -> CaseReport:
-    """Checks for k >= 8: the shared proof route.  The replay settles f(2),
-    f(3), f(k - 1) and f(k), its sign witnesses using parts at most 3, and
-    the induction certificate takes over from n = 4, where the paper goes
-    on with the small identity table and the parametric families.  The
+    """Checks for k >= 8: the shared proof route.  The replay settles f(k)
+    and f(k - 1), and f(2) and f(3) up to sign, and the induction
+    certificate takes over from n = 2, where the paper goes on with the
+    sign step, the small identity table and the parametric families.  The
     sign pairs the 40/32 system allows are solved by the replay's joint
     check alone, and the k-part representation of k^2 + k - 1 is checked
     by its SumOfSquares in the replay."""

@@ -15,7 +15,7 @@ from multsquares.replay import (
     replay_script,
 )
 from multsquares.solver import SolverState
-from multsquares.constraints import Multiplicative, SumOfSquares
+from multsquares.constraints import SumOfSquares
 from multsquares.theorem import theorem_check
 
 
@@ -117,23 +117,22 @@ GENERAL_STAGES = [
     "growth-k(k-1)",
     "double-representations-40-32",
     "construction-k^2+k-1",
-    "positivity",
 ]
 
 
 @pytest.mark.parametrize("k", [8, 9, 10, 12, 13, 40, 97, 111, 500])
 def test_replay_generic_k(k):
-    # the script settles f(2), f(3), f(k - 1) and f(k), and below k - 1
-    # nothing past 3: each sign witness sums squares of parts whose squares
-    # the construction already fixed, and the certificate pins 6 = 2*3
+    # the script settles f(k - 1) and f(k), and f(2) and f(3) up to sign,
+    # and pins nothing else below k - 1: the certificate reads 2 and 3
+    # through their squares, and pins 6 = 2*3
     result = replay_script(k)
     assert stage_names(result) == GENERAL_STAGES
-    positivity = replay_module._stages(k)[-1]
-    sums = [c for c in positivity.constraints if isinstance(c, SumOfSquares)]
-    assert sums and all(max(c.parts) <= 3 for c in sums), k
-    for n in (1, 2, 3, k - 1, k):
+    for n in (1, k - 1, k):
         assert final(result, n) == only(n), (k, n)
-    assert [n for n in sorted(result.state.pinned) if n < k - 1] == [1, 2, 3], k
+    for n in (2, 3):
+        assert final(result, n) == pm(n), (k, n)
+        assert n in result.state.signless, (k, n)
+    assert [n for n in sorted(result.state.pinned) if n < k - 1] == [1], k
 
 
 def test_replay_end_states_identity():
@@ -141,9 +140,9 @@ def test_replay_end_states_identity():
     # scripts end where the certificate can start, and it pins every other n
     end_states = {
         4: [1, 2, 3, 4, 5, 7, 9, 10, 12, 18, 20, 28, 35],
-        5: list(range(1, 21)) + [26, 29, 39],
-        6: [1, 2, 3, 4, 5, 6, 9, 12, 21, 30, 36, 41],
-        7: [1, 2, 3, 4, 5, 6, 7, 13, 26, 31, 39, 42, 52, 55, 65],
+        5: list(range(1, 21)) + [29],
+        6: [1, 5, 6, 21, 30, 41],
+        7: [1, 7, 31, 42, 55],
     }
     for k, pinned in end_states.items():
         result = replay_script(k)
@@ -158,10 +157,6 @@ def test_replay_end_states_identity():
 KEPT_WITHOUT_NEED = {
     (4, "chain-18"): "acceptance criterion 3 reads its claim f(9) = 9",
     (5, "induction"): "the benchmark's self-tests read 1..20 pinned from the k = 5 replay",
-    (13, "positivity", SumOfSquares(48, replay_module.pad((3, 3, 3, 3, 2), 13))): (
-        "the sign witness 3*16 = 48 states its sum, which at 48 = k + 35 is"
-        " also the 40/32 stage's"
-    ),
 }
 
 
@@ -181,7 +176,7 @@ def ablated_scripts(k):
             yield (k, stage.name, constraint), before + [kept] + after
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 13, 500])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 10, 13, 500])
 def test_every_stage_is_needed(monkeypatch, k):
     # dropping any one stage, or any one constraint, fails
     # theorem_check(k, 300), through a later stage's claim or the
@@ -192,29 +187,6 @@ def test_every_stage_is_needed(monkeypatch, k):
         if theorem_check(k, 300).all_passed:
             passed.add(key)
     assert passed == {key for key in KEPT_WITHOUT_NEED if key[0] == k}
-
-
-@pytest.mark.parametrize("q, broken", [(2, 9), (3, 8)])
-def test_both_sign_witnesses_are_needed(monkeypatch, q, broken):
-    # without the product that ties f(q) to its witness, and without the
-    # claim f(q) = q, the certificate alone cannot pin q for this k
-    stages = replay_module._stages
-
-    def without_witness(k):
-        positivity = stages(k)[-1]
-        kept = positivity._replace(
-            constraints=tuple(
-                c
-                for c in positivity.constraints
-                if not (isinstance(c, Multiplicative) and q in (c.m, c.l))
-            ),
-            expects=tuple(e for e in positivity.expects if e.variable != q),
-        )
-        return stages(k)[:-1] + [kept]
-
-    monkeypatch.setattr(replay_module, "_stages", without_witness)
-    report = theorem_check(broken, 300)
-    assert [c.name for c in report.checks if not c.passed][0] == "induction"
 
 
 def _without_resultants(monkeypatch):

@@ -266,16 +266,16 @@ def test_identity_never_pruned():
 # pinned across changes
 TRACE_DIGESTS = {
     ("replay", 4): "733bee35fafe66272e6fb9e0a2f461f89867a57f213404d2bb8230502c2874f6",
-    ("replay", 5): "a90a1c9eca210b647b059acab1eee80cc48d048b3322058586d99f45f2177444",
-    ("replay", 6): "9f714ea638d828a830ba8d1d3963e670f99f062c11f338c4825f6bccd3671c65",
-    ("replay", 7): "db971218c63c4ac9a3187c25ba74f4cebe9a640740181efaae68b5a332b6821b",
-    ("replay", 8): "af08877da92e43d335441d12dfdde08baaadfd55951cd4b93aa2c7614cebc99e",
-    ("replay", 13): "ba30c658ba0711a8e02c1550dc5d07863c3fc968167d47a42e8d798e7b3d74eb",
+    ("replay", 5): "60266e2d2154c1711d9270f11fee3f9b17528d023e70db7c2a7d5b8276983c66",
+    ("replay", 6): "7f8b1ed6590b728a3ba941621630d88f7406659747f5fc4d771220ba0775f0db",
+    ("replay", 7): "0772e0fccaf101afbd07f3c497b3a27197a0ed5b1a97c619d06fddca3ff6b881",
+    ("replay", 8): "ab4df75d46239c55678307ed8165793fab2e3125dee79b4fe1b85c772479040f",
+    ("replay", 13): "7785c813abc6981bd2523d75c36f117447f35c17d7aad6c36a8e4a32336bed72",
     ("solve", 4): "6226e735a913f2867ad3b7224e05c79877fb924f695fd38effcf616918017c76",
     ("solve", 5): "706671004f34516f1ba9a7107b0832475563b2add89dc55e50c4bc887f994760",
     ("solve", 8): "e9043577bf38a86a8c72784009d9ffb5f2cbe80a4eb1c395a5104c8f8641eed2",
-    ("sweep", 5): "9511ef7c5bcddd2cc5e6ec64fbf04a48dfa67ca3cb1900660483fd927dc76cca",
-    ("sweep", 13): "8e4f3ca5e61900b2c3894a2d396dffa15fb6e499e1e395ddab59285704dea6e2",
+    ("sweep", 5): "0137d8c8247485ade665e87f9cf86abcbdefc7e83e3c23978c759812e8929acc",
+    ("sweep", 13): "f84d4a86d6a881ed90af81b192aa3915e2c647632c19261315f4101f3ab355d8",
     ("theorem", 4): "e268a8d96a119cf8bbfa6d2e0f2a5a23d39ccc2505f1ab0f7d1d205ac70e96c3",
     ("theorem", 5): "e56865a31fc290d6328503747a1d99991419a22c674ed017312003e0244068a3",
     ("theorem", 6): "4c660b3cdff3795c73f6e18e0f6a0dfb4e44e79e6a341ee82d6fa81af4050c6e",
@@ -467,31 +467,6 @@ def test_replay_keeps_every_equation():
         assert all(eq is not None for eq in replay_script(k).state._equations), k
 
 
-def _queued_after_narrowing(before, after):
-    """Labels of the equations a narrowing of f(2) from before to after
-    queues, in a state with f(6) = f(2) f(3) and f(8) = f(2)^2 + f(2)^2.
-    before None is an unknown value set whose squares are after's image."""
-    state = SolverState(2, 10)
-    state.add_constraints([Multiplicative(6, 2, 3), SumOfSquares(8, (2, 2))])
-    state._pending.clear()
-    state._in_pending.clear()
-    state._values[2] = None if before is None else frozenset(before)
-    state._squares[2] = frozenset(x * x for x in before or after)
-    state._set(2, "value", frozenset(after), "narrowed", "product")
-    return {state._equations[i].label for i in state._in_pending}
-
-
-def test_sign_only_narrowing_wakes_only_odd_readers():
-    product, total = "f(6)=f(2)*f(3)", "f(8)=f(2)^2+f(2)^2"
-    # {-2, 2} to {2} leaves f(2)^2 at 4: the sum reads nothing new
-    assert _queued_after_narrowing({-2, 2}, {2}) == {product}
-    # {+-1, +-2} to {+-2} drops the square 1, which the sum reads
-    assert _queued_after_narrowing({-2, -1, 1, 2}, {-2, 2}) == {product, total}
-    # the sum could not read f(2) while its values were unknown, so a first
-    # value set wakes it even though f(2)^2 was already known to be 4
-    assert _queued_after_narrowing(None, {-2, 2}) == {product, total}
-
-
 def _differential_runs(monkeypatch):
     """Envelopes and solver states of solve, replay_script and theorem_check
     runs; the states in creation order."""
@@ -510,33 +485,6 @@ def _differential_runs(monkeypatch):
         ]
         envelopes += [theorem_check(k, 60).to_dict() for k in (4, 8, 13)]
     return envelopes, states
-
-
-def test_wake_up_rule_matches_waking_every_equation(monkeypatch):
-    envelopes, states = _differential_runs(monkeypatch)
-    original = SolverState._set
-
-    def waking_all(state, var, *args):
-        # the reference rule: any narrowing queues every equation of var
-        steps = len(state.trace)
-        original(state, var, *args)
-        if len(state.trace) > steps:
-            state._touch(var)
-
-    with monkeypatch.context() as m:
-        m.setattr(SolverState, "_set", waking_all)
-        ref_envelopes, ref_states = _differential_runs(monkeypatch)
-    assert envelopes == ref_envelopes
-    assert len(states) == len(ref_states)
-    for state, ref in zip(states, ref_states):
-        assert (state.k, state.bound) == (ref.k, ref.bound)
-        assert state.trace == ref.trace
-        assert state.pinned == ref.pinned
-        assert state._ops <= ref._ops
-        assert len(state._equations) <= len(ref._equations)
-    # the first state of k = 13 and bound 60 is replay_script(13)'s
-    replay13 = next(i for i, s in enumerate(states) if (s.k, s.bound) == (13, 60))
-    assert states[replay13]._ops < ref_states[replay13]._ops
 
 
 def _revise_every_open_unknown(state, eq):
@@ -627,7 +575,9 @@ def test_forged_witness_raises_and_leaves_the_state(monkeypatch):
         sorted(state._pending),
     )
     monkeypatch.setattr(
-        solver_module, "find_witness", lambda n, k, pinned: (n - 1, (1,) * k)
+        solver_module,
+        "find_witness",
+        lambda n, k, pinned, signless: (n - 1, (1,) * k),
     )
     with pytest.raises(NoWitnessError) as exc:
         pin_by_induction(state, n)
@@ -704,7 +654,7 @@ def test_combination_cap_binds_on_a_user_input(monkeypatch):
     # 16384 joint assignments; each such revision is skipped
     cap = RecordingCap(solver_module.COMBINATION_CAP)
     monkeypatch.setattr(solver_module, "COMBINATION_CAP", cap)
-    solve(50, 100)
+    assert solve(50, 100).all_pinned
     assert sorted(cap.refused) == [6144, 8192, 12288, 12288, 12288, 16384]
 
 
@@ -830,7 +780,11 @@ def test_k2_pins_respect_the_sign_twist():
                 pin_by_induction(state, n)
             except NoWitnessError:
                 pass
-    assert [s.variable for s in state.trace if s.rule == "certified"] == [64, 81]
+    # f(3) = +-3 is all the sign twist allows, and a witness may read 3
+    # through its square: 121 = 11^2 is not twisted
+    assert 3 in state.signless
+    certified = [s.variable for s in state.trace if s.rule == "certified"]
+    assert certified == [64, 81, 121]
     assert not [n for n in state.pinned if twisted(n)]
 
 

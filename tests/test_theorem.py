@@ -260,10 +260,10 @@ def test_induction_failure_reason_reported(monkeypatch):
     real_replay = theorem_module.replay_script
     real_search = solver_module.find_witness
 
-    def fail_at_7(n, k, pinned):
+    def fail_at_7(n, k, pinned, signless):
         if n == 7:
             raise NoWitnessError("stub")
-        return real_search(n, k, pinned)
+        return real_search(n, k, pinned, signless)
 
     def forget_7(k):
         monkeypatch.setattr(solver_module, "find_witness", real_search)
@@ -287,10 +287,10 @@ def test_witness_search_sees_every_smaller_n_pinned(monkeypatch):
     real_search = solver_module.find_witness
     calls = []
 
-    def checked(n, k, pinned):
+    def checked(n, k, pinned, signless):
         calls.append(n)
         assert set(range(1, n)) <= pinned, (k, n)
-        return real_search(n, k, pinned)
+        return real_search(n, k, pinned, signless)
 
     monkeypatch.setattr(solver_module, "find_witness", checked)
     for k in (4, 5, 8, 111):
@@ -306,9 +306,9 @@ def test_witness_search_only_for_prime_powers(monkeypatch):
     real_search = solver_module.find_witness
     calls, replayed = [], []
 
-    def recording(n, k, pinned):
+    def recording(n, k, pinned, signless):
         calls.append(n)
-        return real_search(n, k, pinned)
+        return real_search(n, k, pinned, signless)
 
     def replay(k):
         result = real_replay(k)
@@ -335,10 +335,10 @@ def test_rejected_split_never_pins(monkeypatch):
     # first n the replay left to such a split
     real_search = solver_module.find_witness
 
-    def prime_powers_only(n, k, pinned):
+    def prime_powers_only(n, k, pinned, signless):
         if not is_prime_power(n):
             raise NoWitnessError("stub")
-        return real_search(n, k, pinned)
+        return real_search(n, k, pinned, signless)
 
     def smallest_prime(n):
         return factorize(n).factors[0][0]
@@ -380,66 +380,69 @@ def test_split_matches_factorize():
 def test_route_checks_every_witness(monkeypatch):
     # a witness the checker rejects stops the certificate at that n
     monkeypatch.setattr(
-        solver_module, "find_witness", lambda n, k, pinned: (111, (1,) * k)
+        solver_module, "find_witness", lambda n, k, pinned, signless: (111, (1,) * k)
     )
     report = theorem_check(111, 40)
     induction = next(c for c in report.checks if c.name == "induction")
     assert induction.detail == (
-        "at n=4: certificate rejected: squares sum to 111, not 4*111 = 444"
+        "at n=2: certificate rejected: squares sum to 111, not 2*111 = 222"
     )
-    assert report.checks[-1].detail.startswith("unpinned: [4,")
+    assert report.checks[-1].detail.startswith("unpinned: [2,")
 
 
 def test_failure_detail_names_each_m_tried():
     # n(n-1) = 110 < k = 111, and no other pinned m is coprime to 11
     with pytest.raises(NoWitnessError) as exc:
-        find_witness(11, 111, set(range(1, 11)))
+        find_witness(11, 111, set(range(1, 11)), set())
     assert str(exc.value) == (
         "m=10: 110 has no representation with parts below 11; "
         "no other pinned m is coprime to 11 with 11*m >= 111"
     )
     # 11*12 - 125 = 7 is no sum of terms 3 = 2^2-1 and 8 = 3^2-1
     with pytest.raises(NoWitnessError) as exc:
-        find_witness(11, 125, {*range(1, 11), 12})
+        find_witness(11, 125, {*range(1, 11), 12}, set())
     assert str(exc.value) == (
         "m=10: 110 has no representation with parts below 11; "
         "m=12: no way to write 7 = 11*12-125 as at most 125 terms x^2-1 "
-        "over pinned x >= 2"
+        "over pinned or signless x >= 2"
     )
 
 
 def test_fallback_search_stops_at_node_limit(monkeypatch):
     # 11*111 - 111 = 1110 needs 14 terms x^2-1 over x in 2..10
     pinned = {*range(1, 11), 111}
-    m, parts = find_witness(11, 111, pinned)
-    assert m == 111 and check_step(11, m, parts, 111, pinned) is None
+    m, parts = find_witness(11, 111, pinned, set())
+    assert m == 111 and check_step(11, m, parts, 111, pinned, set()) is None
     monkeypatch.setattr(solver_module, "FALLBACK_NODES", 5)
     with pytest.raises(NoWitnessError) as exc:
-        find_witness(11, 111, pinned)
+        find_witness(11, 111, pinned, set())
     assert str(exc.value).endswith(
         "m=111: search for 1110 = 11*111-111 as at most 111 terms x^2-1 "
-        "over pinned x >= 2 stopped at 5 nodes"
+        "over pinned or signless x >= 2 stopped at 5 nodes"
     )
 
 
 def test_excess_search_matches_dynamic_programming():
     # which excesses are sums of at most `terms` values x^2 - 1, x pinned
+    # or signless; the members alternate between the two sets
     for members in ([1, 2, 3], [1, 2, 5, 7], [1, 3, 4, 6], [1, *range(2, 12)]):
-        pinned = set(members)
+        pinned, signless = set(members[::2]), set(members[1::2])
         costs = [x * x - 1 for x in members if x >= 2]
         for terms in (1, 2, 3, 5, 40):
             reach = {0}
             for _ in range(terms):
                 reach |= {r + c for r in reach for c in costs if r + c <= 300}
             for excess in range(301):
-                parts, _ = solver_module._excess_parts(excess, terms, pinned, 10**6)
+                parts, _ = solver_module._excess_parts(
+                    excess, terms, pinned, signless, 10**6
+                )
                 found = parts is not None
                 assert found == (excess in reach), (members, terms, excess)
                 if found:
                     assert len(parts) <= terms
                     assert list(parts) == sorted(parts, reverse=True)
                     assert sum(x * x - 1 for x in parts) == excess
-                    assert all(x in pinned for x in parts)
+                    assert set(parts) <= set(members)
 
 
 def test_large_k_proves():
@@ -456,18 +459,19 @@ def test_large_k_proves():
         ], k
     pinned = set(replay_script(111).state.pinned) | set(range(1, 11))
     assert 11 not in pinned  # as the certificate reaches n = 11
-    assert find_witness(11, 111, pinned)[0] == 111
+    assert find_witness(11, 111, pinned, set())[0] == 111
 
 
 def test_certificate_steps_pass_the_checker():
     # replay the certificate for two cases, checking each step here too
     for k in (5, 111):
-        pinned = set(replay_script(k).state.pinned)
+        state = replay_script(k).state
+        pinned, signless = set(state.pinned), state.signless
         for n in range(2, 121):
             if n in pinned:
                 continue
-            m, parts = find_witness(n, k, pinned)
-            assert check_step(n, m, parts, k, pinned) is None, (k, n)
+            m, parts = find_witness(n, k, pinned, signless)
+            assert check_step(n, m, parts, k, pinned, signless) is None, (k, n)
             pinned.add(n)
         assert pinned >= set(range(1, 121))
 

@@ -253,7 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ReplayMismatchError,
         arith.NotCoprimeError,
         arith.NonRepresentableError,
-        squares.UnsupportedKError,
     ) as exc:
         elapsed = int((time.monotonic() - start) * 1000)
         envelope = _envelope(

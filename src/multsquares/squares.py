@@ -14,10 +14,8 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 MAX_DP_BOUND = 10**6
 
 # largest k that enumeration, the exceptional-set DP (whose time grows with
-# k), the replay and the constraint generator accept; no search recurses,
-# but iter_representations still opens one frame per part above 1, so
-# lifting this waits for a search on the excess n - k, whose depth is at
-# most (n - k) / 3
+# k), the replay and the constraint generator accept; the search does not
+# recurse, but enumeration builds a k-tuple for each representation
 MAX_K = 500
 
 # largest count table, in coefficients (max n + 1) * (max k + 1); its build
@@ -84,19 +82,19 @@ class ExceptionalSetReport(NamedTuple):
 
 
 # Every cache of this layer lives in these two dicts, so clearing them makes
-# the layer cold again.  _exists_memo maps (n, k, mx) to whether n is a sum of
-# k squares with every part at most mx; _count_memo holds the one count table
-# under "table".  Queries are pure and each write is a single dict
-# assignment, so concurrent callers need no lock and get the same answers in
-# any order.
+# the layer cold again.  _exists_memo maps (n, k) to is_representable's
+# answer; _count_memo holds the one count table under "table".  Queries are
+# pure and each write is a single dict assignment, so concurrent callers need
+# no lock and get the same answers in any order.
 _exists_memo: dict = {}
 _count_memo: dict = {}
 
 
-def iter_representations(
-    n: int, k: int, max_part: Optional[int] = None
-) -> Iterator[Tuple[int, ...]]:
-    """Yield canonical part tuples in lexicographically decreasing order.
+def _search(n: int, k: int, mx: int) -> Iterator[Tuple[List[int], int, int]]:
+    """The layer's one search for representations of n as k squares with no
+    part above mx, in lexicographically decreasing order.  It yields each as
+    (parts, tail, count): the parts list, then count copies of tail.  parts
+    is the search's own list and changes when the search resumes.
 
     Depth-first, largest part first, on an explicit stack whose frames are
     [target left, parts left, next part, scale], so no k can exhaust the
@@ -104,7 +102,6 @@ def iter_representations(
     the level opened below a chosen part x gets x as its largest part."""
     parts: List[int] = []
     stack: List[list] = []
-    mx = n if max_part is None else max_part
     scale = 1
     while True:
         # every part is even when k <= 3 and 4 | n, or k = 4 and 8 | n: x^2
@@ -119,10 +116,10 @@ def iter_representations(
             hi = min(isqrt(n - (k - 1)), mx)
             if n == k:  # all ones is the only representation: no frame per part
                 if hi >= 1:
-                    yield (*parts, *(scale,) * k)
+                    yield parts, scale, k
             elif k == 1:
                 if hi >= 1 and hi * hi == n:
-                    yield (*parts, scale * hi)
+                    yield parts, scale * hi, 1
             # Legendre: no sum of three squares is 7 mod 8, and the descent
             # has left n with no factor 4
             elif k != 3 or n % 8 != 7:
@@ -138,6 +135,14 @@ def iter_representations(
         del parts[len(stack) - 1:]
         parts.append(scale * x)
         n, k, mx = n - x * x, k - 1, x
+
+
+def iter_representations(
+    n: int, k: int, max_part: Optional[int] = None
+) -> Iterator[Tuple[int, ...]]:
+    """Yield canonical part tuples in lexicographically decreasing order."""
+    for parts, tail, count in _search(n, k, n if max_part is None else max_part):
+        yield (*parts, *(tail,) * count)
 
 
 def enumerate_representations(
@@ -158,51 +163,6 @@ def enumerate_representations(
             break
         reps.append(Representation(n, parts))
     return Enumeration(n, k, tuple(reps), truncated)
-
-
-def _settle(n: int, k: int, mx: int):
-    """Answer _exists(n, k, mx) without a search when possible: (answer,
-    None), or (None, key) when the memo key still has to be searched."""
-    if n < k or k < 1:
-        return False, None
-    mx = min(mx, isqrt(n - (k - 1)))
-    if mx < 1:
-        return False, None
-    if k == 1:
-        return mx * mx == n, None
-    key = (n, k, mx)
-    hit = _exists_memo.get(key)
-    if hit is not None:
-        return hit, None
-    if mx == 1:  # k parts of 1
-        _exists_memo[key] = n == k
-        return n == k, None
-    return None, key
-
-
-def _exists(n: int, k: int, mx: int) -> bool:
-    """True iff n is a sum of k positive squares with every part at most mx.
-
-    Depth-first, largest part first, on an explicit stack whose frames are
-    [memo key, next part to try], so k is not bounded by the recursion
-    limit.  Each searched key is memoised when its frame closes."""
-    found, key = _settle(n, k, mx)
-    stack: List[list] = []
-    while key is not None or stack:
-        if key is not None:
-            stack.append([key, key[2]])
-        elif found:
-            _exists_memo[stack.pop()[0]] = True
-            continue
-        frame = stack[-1]
-        (n, k, _), x = frame
-        if x < 1 or k * x * x < n:
-            _exists_memo[stack.pop()[0]] = False
-            found, key = False, None
-        else:
-            frame[1] = x - 1
-            found, key = _settle(n - x * x, k - 1, x)
-    return found
 
 
 def _build_count_table(n: int, k: int) -> tuple:
@@ -241,10 +201,15 @@ def _count_table(n: int, k: int) -> tuple:
 
 
 def is_representable(n: int, k: int) -> bool:
-    """True iff n is a sum of exactly k squares of positive integers."""
+    """True iff n is a sum of exactly k squares of positive integers: whether
+    the search yields a first representation.  No k-tuple is built, so a
+    large k costs only the parts above the repeated tail."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    return _exists(n, k, isqrt(n))
+    found = _exists_memo.get((n, k))
+    if found is None:
+        found = _exists_memo[n, k] = next(_search(n, k, n), None) is not None
+    return found
 
 
 def count_representations(n: int, k: int) -> int:

@@ -220,6 +220,15 @@ def test_dp_bound_above_limit_exits_2(capsys, monkeypatch):
         assert "bound must be at most 1000000" in err
 
 
+def test_verify_dubouis_k_below_4_exits_2(capsys):
+    for k in ("0", "1", "2", "3"):
+        code, out, err = run_cli("verify-dubouis", "--k", k, "--bound", "5",
+                                 capsys=capsys)
+        assert code == 2, k
+        assert out == ""
+        assert "closed forms require k >= 4" in err
+
+
 @pytest.mark.parametrize(
     "n, k, message",
     [

@@ -161,6 +161,19 @@ def test_memos_are_module_dicts_filled_by_queries():
 def test_large_k_is_decided_without_recursion():
     assert is_representable(5000, 1500)
     assert not is_representable(1502, 1500)
+    # the descent and the Legendre skip decide these at once; a search
+    # without them runs for minutes on 2 * 4^12 with k = 4
+    for c in range(1, 16):
+        for a in range(31):
+            n = c * 4**a
+            assert is_representable(n, 4) == (not is_dubouis_exception(n, 4)), n
+    for a in range(21):
+        for b in (0, 1, 5, 10**6, 10**12):
+            assert not is_representable(4**a * (8 * b + 7), 3), (a, b)
+    # only the parts above the all-ones tail are built
+    k = 10**9
+    got = [is_representable(n, k) for n in (k, k + 1, k + 3, k + 13, k + 14, 3 * k)]
+    assert got == [True, False, True, False, True, True]
     with pytest.raises(ValueError, match="k must be at most 500"):
         enumerate_representations(5000, 1500)
     assert list(iter_representations(6000, 1500, 2)) == [(2,) * 1500]
